@@ -17,15 +17,17 @@ theory says they can be:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import fock
-from .errors import IdenticallySingular, NotIsometric, RangeNotContained
+from .errors import DefectUnstable, IdenticallySingular, NotIsometric, RangeNotContained
 from .numerics import DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm, orthocomplement_basis
 from .operator import (
     FockOperator,
+    SubspaceSelector,
     build_wl,
     build_wl_adjoint,
     inclusion,
@@ -184,8 +186,6 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
         raise ValueError("depth %d below symbol depth %d" % (depth, sym.K))
     here, stable, below = defect_with_stability(sym, depth, tol)
     if not stable:
-        from .errors import DefectUnstable
-
         raise DefectUnstable(
             "defect dimension moved %d -> %d between depths" % (below, here.dim)
         )
@@ -213,15 +213,7 @@ class NormReport:
     sigma_l: float
 
     def to_dict(self):
-        return {
-            "depth": self.depth,
-            "sigma_max": self.sigma_max,
-            "bracket_lower": self.bracket_lower,
-            "bracket_upper": self.bracket_upper,
-            "formula_value": self.formula_value,
-            "applicable": self.applicable,
-            "sigma_l": self.sigma_l,
-        }
+        return asdict(self)
 
 
 def norm_report(
@@ -275,19 +267,10 @@ class DouglasResult:
 
 
 def _gamma_operator(c: np.ndarray, basis: fock.BasisIndex) -> FockOperator:
-    # identity on the interior, C on every all-n chain level
-    d = basis.d
-    g = FockOperator(basis, basis)
-    for word in basis.words:
-        if fock.is_ns_chain(word, basis.n):
-            for q in range(1, d + 1):
-                col = basis.index(word, q)
-                for s in range(1, d + 1):
-                    g.add(basis.index(word, s), col, c[s - 1, q - 1])
-        else:
-            for q in range(1, d + 1):
-                g.add(basis.index(word, q), basis.index(word, q), 1.0)
-    return g
+    # identity on the interior, C on every all-n chain level: block diagonal
+    chain = SubspaceSelector.N_PERP.mask(basis)[:: basis.d].astype(float)
+    g = sparse.kron(sparse.diags(1.0 - chain), np.eye(basis.d)) + sparse.kron(sparse.diags(chain), c)
+    return FockOperator(basis, basis, g)
 
 
 def douglas_factor(
@@ -439,13 +422,8 @@ def defect_projection_rank(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL
     dimension again (the compression of the defect projection), computed
     here from the forward build alone.
     """
-    w = build_wl(sym, depth)
-    size = w.domain.size
-    rows = np.zeros((size, w.domain.size), dtype=complex)
-    for (i, j), v in w.data.items():
-        if i < size:
-            rows[i, j] = v
-    p = np.eye(size) - rows @ rows.conj().T
+    rows = square_compression(build_wl(sym, depth))
+    p = np.eye(rows.shape[0]) - rows @ rows.conj().T
     return numerical_rank(p, tol)
 
 
@@ -480,32 +458,8 @@ class ClassificationReport:
     criteria: dict
 
     def to_dict(self):
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "K": self.k,
-            "depth": self.depth,
-            "isometric": self.isometric,
-            "isometry_dev": self.isometry_dev,
-            "unitary": self.unitary,
-            "unitary_dev": self.unitary_dev,
-            "invertible": self.invertible,
-            "invertible_checked": self.invertible_checked,
-            "sigma_min_square": self.sigma_min_square,
-            "defect_dim": self.defect_dim,
-            "defect_stable": self.defect_stable,
-            "el_dim": self.el_dim,
-            "kernel_dim": self.kernel_dim,
-            "el_minus_range_dim": self.el_minus_range_dim,
-            "fredholm_index": self.fredholm,
-            "mult_wl": self.mult_wl,
-            "mult_mtheta": self.mult_mtheta,
-            "norm": self.norm.to_dict(),
-            "hypo_necessary": self.hypo_necessary,
-            "hypo_gap": self.hypo_gap,
-            "criteria": self.criteria,
-        }
-        return out
+        renamed = {"k": "K", "fredholm": "fredholm_index"}
+        return {renamed.get(key, key): value for key, value in asdict(self).items()}
 
 
 def classify(
@@ -521,15 +475,10 @@ def classify(
     det) propagate; pass invertibility=False to skip that part.  Each
     verdict is tagged with the criterion it instantiates.
     """
-    inner = is_inner_exact(sym.theta(), tol)
-    m_mass = sym.m_mass()
-    iso_dev = max(m_mass, inner.deviation)
+    iso_dev = isometry_deviation(sym, tol)
     isometric = iso_dev <= tol.eps_exact
 
-    off_vacuum = 0.0
-    for (word, _, _), value in sym.entries.items():
-        if len(word) >= 1:
-            off_vacuum = max(off_vacuum, abs(value))
+    off_vacuum = max((abs(value) for (word, _, _), value in sym.entries.items() if word), default=0.0)
     l0 = sym.coefficient_operator(0)
     eye = np.eye(sym.d)
     unitary_dev = max(

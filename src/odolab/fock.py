@@ -5,13 +5,22 @@ A word is a plain tuple of 1-based letters; the empty tuple is the vacuum.
 The basis enumerates (word, slot) pairs in graded lexicographic order with
 the slot nested innermost, so a depth-D basis is a prefix of every deeper
 one over the same alphabet and coefficient dimension.
+
+That order gives every index a closed form, so BasisIndex keeps no
+per-word table.  carry and inverse_carry are the odometer carries on
+arrays of 0-based digits; successor and predecessor stay as the scalar
+specification they are tested against.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .errors import AllNsWord, CapExceeded, OnesChainWord
 
@@ -125,11 +134,20 @@ def leading_ones(gamma) -> LeadingOnes:
     return LeadingOnes(p=p, tail=tuple(gamma[p:]))
 
 
-def word_count(n: int, depth: int) -> int:
-    """Number of words of length <= depth."""
+def word_count(n: int, depth):
+    """Number of words of length <= depth; also takes an integer array."""
     if n == 1:
         return depth + 1
     return (n ** (depth + 1) - 1) // (n - 1)
+
+
+def word_value(word, n: int) -> int:
+    """Base-n value of a word: letters as 0-based digits, first letter most
+    significant.  Its position among the words of its length."""
+    value = 0
+    for a in word:
+        value = value * n + (a - 1)
+    return value
 
 
 def enumerate_words(n: int, depth: int):
@@ -140,11 +158,51 @@ def enumerate_words(n: int, depth: int):
     return out
 
 
+def basis_digits(n: int, depth: int):
+    """(lengths, digits) of every word of length <= depth in basis order:
+    0-based digits, each row right-padded with 0 to width depth."""
+    lengths = np.repeat(np.arange(depth + 1), n ** np.arange(depth + 1))
+    padded = (np.arange(len(lengths)) - word_count(n, lengths - 1)) * n ** (depth - lengths)
+    return lengths, padded[:, None] // n ** np.arange(depth - 1, -1, -1) % n
+
+
+def digit_values(digits: np.ndarray, n: int) -> np.ndarray:
+    """Base-n value of each row of 0-based digits (see word_value)."""
+    return digits @ n ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def _bump(digits, moves, step, fill, error):
+    # per row: step the first digit where moves holds, fill the ones before
+    if not moves.any(axis=1).all():
+        raise error
+    if not moves.size:
+        return digits.copy()
+    k = moves.argmax(axis=1)
+    out = digits.copy()
+    out[np.arange(len(out)), k] += step
+    out[np.arange(out.shape[1]) < k[:, None]] = fill
+    return out
+
+
+def carry(digits: np.ndarray, n: int) -> np.ndarray:
+    """successor on rows of 0-based digits: bump the first digit below
+    n - 1 and reset the prefix to 0."""
+    return _bump(digits, digits != n - 1, 1, 0, AllNsWord("a row has no letter below %d" % n))
+
+
+def inverse_carry(digits: np.ndarray, n: int) -> np.ndarray:
+    """predecessor on rows of 0-based digits: decrement the first digit
+    above 0 and set the prefix to n - 1."""
+    return _bump(digits, digits != 0, -1, n - 1, OnesChainWord("a row is a chain of 1s"))
+
+
 class BasisIndex:
     """Index map for the (word, slot) basis at a fixed truncation depth.
 
     Flat index = word position * d + (slot - 1), with words in graded lex
-    order.  Slots are 1-based throughout.
+    order, so a word of length m sits at word_count(n, m - 1) plus its
+    base-n value.  Index and pair come from that closed form; no per-word
+    table is kept.  Slots are 1-based throughout.
     """
 
     def __init__(self, n: int, depth: int, d: int, cap: int | None = None):
@@ -160,35 +218,40 @@ class BasisIndex:
         self.n = n
         self.depth = depth
         self.d = d
-        self.words = enumerate_words(n, depth)
-        self._pos = {w: i for i, w in enumerate(self.words)}
+        # offsets[m] is the position of the first word of length m
+        self.offsets = [word_count(n, m - 1) for m in range(depth + 2)]
         self.size = total
+
+    @cached_property
+    def words(self):
+        """All words as tuples in basis order, built on first use."""
+        return enumerate_words(self.n, self.depth)
+
+    def contains_word(self, word) -> bool:
+        w = tuple(word)
+        return len(w) <= self.depth and all(1 <= a <= self.n for a in w)
 
     def index(self, word, slot: int) -> int:
         if not 1 <= slot <= self.d:
             raise ValueError("slot %d outside 1..%d" % (slot, self.d))
-        return self._pos[tuple(word)] * self.d + (slot - 1)
+        if not self.contains_word(word):
+            raise KeyError(tuple(word))
+        return (self.offsets[len(word)] + word_value(word, self.n)) * self.d + (slot - 1)
 
     def pair(self, i: int):
         if not 0 <= i < self.size:
             raise IndexError(i)
-        return self.words[i // self.d], i % self.d + 1
-
-    def contains_word(self, word) -> bool:
-        return tuple(word) in self._pos
-
-    def pairs(self):
-        for w in self.words:
-            for s in range(1, self.d + 1):
-                yield w, s
+        pos, slot = divmod(i, self.d)
+        m = bisect_right(self.offsets, pos) - 1
+        value = pos - self.offsets[m]
+        letters = []
+        for _ in range(m):
+            value, digit = divmod(value, self.n)
+            letters.append(digit + 1)
+        return tuple(reversed(letters)), slot + 1
 
     def __repr__(self):
-        return "BasisIndex(n=%d, depth=%d, d=%d, size=%d)" % (
-            self.n,
-            self.depth,
-            self.d,
-            self.size,
-        )
+        return "BasisIndex(n=%d, depth=%d, d=%d, size=%d)" % (self.n, self.depth, self.d, self.size)
 
 
 def enumerate_basis(n: int, depth: int, d: int, cap: int | None = None) -> BasisIndex:

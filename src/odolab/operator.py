@@ -7,15 +7,22 @@ all-n chains), build_wl_adjoint assembles the closed-form adjoint
 under conjugate transposition is a test target, so neither may call the
 other.
 
+Both builds are index arithmetic on the closed-form Fock index: carries
+on arrays of 0-based digits, symbol terms on (entry x level) grids.  A
+FockOperator stores one canonical CSR matrix (sorted indices, no
+duplicates, no explicit zeros); .data is a read-only mapping view of it.
+
 The forward map is built with a codomain deep enough (domain depth plus
 symbol depth) that no image coefficient is lost to truncation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from . import fock
 from .errors import OffChainSupport
@@ -35,60 +42,109 @@ class SubspaceSelector(Enum):
     N = "n"
     N_PERP = "n_perp"
 
-    def admits(self, word, n: int) -> bool:
-        if self is SubspaceSelector.M:
-            return fock.word_in_m0(word)
-        if self is SubspaceSelector.M_PERP:
-            return fock.is_ones_chain(word)
-        if self is SubspaceSelector.N:
-            return fock.word_in_n0(word, n)
-        return fock.is_ns_chain(word, n)
+    def mask(self, basis) -> np.ndarray:
+        """Boolean mask over the basis indices of the selected words."""
+        lengths = np.arange(basis.depth + 1)
+        if self in (SubspaceSelector.M, SubspaceSelector.M_PERP):
+            chain = fock.word_count(basis.n, lengths - 1)  # 1^m has value 0
+        else:
+            chain = fock.word_count(basis.n, lengths) - 1  # n^m has value n^m - 1
+        words = np.zeros(fock.word_count(basis.n, basis.depth), dtype=bool)
+        words[chain] = True
+        if self in (SubspaceSelector.M, SubspaceSelector.N):
+            words = ~words
+        return np.repeat(words, basis.d)
 
 
 class SubBasis:
-    """View of a BasisIndex restricted to a selector's words."""
+    """A parent basis cut down to the sorted parent indices it keeps."""
 
-    def __init__(self, parent: fock.BasisIndex, selector: SubspaceSelector):
+    def __init__(self, parent: fock.BasisIndex, parent_indices, selector: SubspaceSelector | None = None):
         self.parent = parent
+        self.parent_indices = np.asarray(parent_indices, dtype=np.int64)
         self.selector = selector
-        self.pairs = []
-        self.parent_indices = []
-        for w in parent.words:
-            if selector.admits(w, parent.n):
-                for s in range(1, parent.d + 1):
-                    self.pairs.append((w, s))
-                    self.parent_indices.append(parent.index(w, s))
-        self._local = {pair: i for i, pair in enumerate(self.pairs)}
-        self.size = len(self.pairs)
-        self.n = parent.n
-        self.d = parent.d
-        self.depth = parent.depth
-
-    def index(self, word, slot: int) -> int:
-        return self._local[(tuple(word), slot)]
+        self.size = len(self.parent_indices)
+        self.n, self.d, self.depth = parent.n, parent.d, parent.depth
 
     def pair(self, i: int):
-        return self.pairs[i]
-
-    def contains_word(self, word) -> bool:
-        w = tuple(word)
-        return self.parent.contains_word(w) and self.selector.admits(w, self.parent.n)
+        return self.parent.pair(int(self.parent_indices[i]))
 
     def __repr__(self):
-        return "SubBasis(%s of %r, size=%d)" % (self.selector.value, self.parent, self.size)
+        label = self.selector.value if self.selector else "prefix"
+        return "SubBasis(%s of %r, size=%d)" % (label, self.parent, self.size)
 
 
 def subbasis(basis: fock.BasisIndex, selector: SubspaceSelector) -> SubBasis:
-    return SubBasis(basis, selector)
+    return SubBasis(basis, np.flatnonzero(selector.mask(basis)), selector)
+
+
+def _canonical(matrix, shape, copy: bool = False) -> sparse.csr_matrix:
+    # copy only matters for CSR input, which is otherwise shared
+    out = sparse.csr_matrix(matrix, shape=shape, dtype=complex, copy=copy)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
+def _triplets(parts, shape):
+    # CSR (data, indices, indptr) of (rows, cols, values) parts, built by a
+    # row-major sort: scipy's per-call cost dominates on small operators
+    rows = np.concatenate([np.ravel(r) for r, _, _ in parts])
+    cols = np.concatenate([np.ravel(c) for _, c, _ in parts])
+    vals = np.concatenate([np.broadcast_to(v, np.shape(r)).ravel() for r, _, v in parts])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return vals.astype(complex)[order], cols[order], indptr
+
+
+class EntryView(Mapping):
+    """Read-only (row, col) -> value view over a canonical CSR matrix."""
+
+    def __init__(self, csr: sparse.csr_matrix):
+        self.csr = csr
+
+    def __getitem__(self, key):
+        # canonical storage: an entry is stored exactly when it is nonzero
+        i, j = key
+        rows, cols = self.csr.shape
+        value = complex(self.csr[i, j]) if 0 <= i < rows and 0 <= j < cols else 0j
+        if value == 0:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        rows = np.repeat(np.arange(self.csr.shape[0]), np.diff(self.csr.indptr))
+        return zip(rows.tolist(), self.csr.indices.tolist())
+
+    def __len__(self):
+        return self.csr.nnz
 
 
 class FockOperator:
-    """Sparse matrix between two indexed bases, entries kept exactly."""
+    """Sparse matrix between two indexed bases, entries kept exactly.
+
+    data may be None, another operator's .data view (shared, not copied),
+    a mapping (row, col) -> value, or anything scipy.sparse turns into a
+    CSR matrix.  Treat to_csr() as read-only: it is the stored matrix.
+    """
 
     def __init__(self, domain, codomain, data=None):
         self.domain = domain
         self.codomain = codomain
-        self.data = {} if data is None else data
+        shape = (codomain.size, domain.size)
+        if isinstance(data, EntryView):
+            self._csr = data.csr
+        elif isinstance(data, Mapping):
+            keys = np.array(list(data.keys()), dtype=np.int64).reshape(-1, 2)
+            self._csr = _canonical(_triplets([(keys[:, 0], keys[:, 1], list(data.values()))], shape), shape)
+        else:
+            self._csr = _canonical(shape if data is None else data, shape, copy=True)
+        if self._csr.shape != shape:
+            raise ValueError("entries of shape %r for shape %r" % (self._csr.shape, shape))
+
+    @property
+    def data(self) -> EntryView:
+        return EntryView(self._csr)
 
     @property
     def shape(self):
@@ -96,76 +152,46 @@ class FockOperator:
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
-
-    def add(self, row: int, col: int, value: complex) -> None:
-        if value == 0:
-            return
-        key = (row, col)
-        new = self.data.get(key, 0.0 + 0.0j) + value
-        if new == 0:
-            self.data.pop(key, None)
-        else:
-            self.data[key] = new
+        return self._csr.nnz
 
     def entry(self, row: int, col: int) -> complex:
         return self.data.get((row, col), 0.0 + 0.0j)
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        for (i, j), v in self.data.items():
-            out[i, j] = v
-        return out
+        return self._csr.toarray()
 
     def to_csr(self):
-        from scipy.sparse import csr_matrix
-
-        if not self.data:
-            return csr_matrix(self.shape, dtype=complex)
-        rows, cols, vals = zip(*((i, j, v) for (i, j), v in self.data.items()))
-        return csr_matrix((vals, (rows, cols)), shape=self.shape)
+        return self._csr
 
     def conjugate_transpose(self) -> "FockOperator":
-        flipped = {(j, i): np.conj(v) for (i, j), v in self.data.items()}
-        return FockOperator(self.codomain, self.domain, flipped)
+        return _operator(self.codomain, self.domain, self._csr.conj().T)
 
     def restrict_rows(self, row_count: int) -> "FockOperator":
         """Keep rows below row_count; valid because deeper bases extend
         shallower ones by index."""
-        kept = {(i, j): v for (i, j), v in self.data.items() if i < row_count}
-        return FockOperator(self.domain, _SizedIndex(row_count), kept)
+        rows = SubBasis(self.codomain, np.arange(row_count))
+        return _operator(self.domain, rows, self._csr[:row_count])
 
     def max_abs_diff(self, other: "FockOperator") -> float:
         if self.shape != other.shape:
             raise ValueError("shape mismatch %r vs %r" % (self.shape, other.shape))
-        worst = 0.0
-        for key in self.data.keys() | other.data.keys():
-            worst = max(worst, abs(self.data.get(key, 0.0) - other.data.get(key, 0.0)))
-        return worst
+        diff = abs(self._csr - other._csr)
+        return float(diff.max()) if diff.nnz else 0.0
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.domain.size != other.codomain.size:
             raise ValueError("inner dimensions do not match")
-        by_col = {}
-        for (i, k), v in self.data.items():
-            by_col.setdefault(k, []).append((i, v))
-        out = FockOperator(other.domain, self.codomain)
-        for (k, j), w in other.data.items():
-            for i, v in by_col.get(k, ()):
-                out.add(i, j, v * w)
-        return out
+        return _operator(other.domain, self.codomain, self._csr @ other._csr)
 
     def column_norms(self) -> np.ndarray:
-        acc = np.zeros(self.domain.size)
-        for (_, j), v in self.data.items():
-            acc[j] += abs(v) ** 2
-        return np.sqrt(acc)
+        sq = np.abs(self._csr.data) ** 2
+        return np.sqrt(np.bincount(self._csr.indices, weights=sq, minlength=self.domain.size))
 
     def sigma_max(self, dense_limit: int = 1_500_000) -> float:
         """Largest singular value; dense below dense_limit cells, else a
         deterministic ARPACK run on the sparse matrix."""
         rows, cols = self.shape
-        if rows == 0 or cols == 0 or not self.data:
+        if rows == 0 or cols == 0 or not self.nnz:
             return 0.0
         if rows * cols <= dense_limit:
             return float(np.linalg.svd(self.toarray(), compute_uv=False)[0])
@@ -179,11 +205,22 @@ class FockOperator:
         return "FockOperator(shape=%r, nnz=%d)" % (self.shape, self.nnz)
 
 
-class _SizedIndex:
-    """Bare index space used when only a size is meaningful."""
+def _operator(domain, codomain, matrix) -> FockOperator:
+    # matrix is computed here, so it is made canonical in place, not copied
+    return FockOperator(domain, codomain, EntryView(_canonical(matrix, (codomain.size, domain.size))))
 
-    def __init__(self, size: int):
-        self.size = size
+
+def _slots(positions, d: int) -> np.ndarray:
+    # word positions -> flat indices of all their slots, slot innermost
+    return (np.asarray(positions)[:, None] * d + np.arange(d)).ravel()
+
+
+def _symbol_arrays(sym: Symbol):
+    """Entries of L as parallel arrays: word length, word value, target
+    slot s, source slot q (both 0-based) and coefficient."""
+    rows = [(len(w), fock.word_value(w, sym.n), s - 1, q - 1) for w, s, q in sym.entries]
+    length, value, s, q = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return length, value, s, q, np.array(list(sym.entries.values()), dtype=complex)
 
 
 def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None, cap: int | None = None) -> FockOperator:
@@ -201,26 +238,19 @@ def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None, cap: in
         raise ValueError("codomain depth %d loses image mass" % codomain_depth)
     domain = fock.enumerate_basis(sym.n, depth, sym.d, cap=cap)
     codomain = fock.enumerate_basis(sym.n, codomain_depth, sym.d, cap=cap)
-    cols = sym.columns_by_source()
-    w = FockOperator(domain, codomain)
-    for mu in domain.words:
-        if mu == fock.VACUUM:
-            for q in range(1, sym.d + 1):
-                col = domain.index(mu, q)
-                for word, s, value in cols[q]:
-                    w.add(codomain.index(word, s), col, value)
-        elif fock.word_in_n0(mu, sym.n):
-            succ = fock.successor(mu, sym.n)
-            for q in range(1, sym.d + 1):
-                w.add(codomain.index(succ, q), domain.index(mu, q), 1.0)
-        else:
-            # all-n chain of length m >= 1 restarts: image is e_1^m tensor L h_q
-            prefix = (1,) * len(mu)
-            for q in range(1, sym.d + 1):
-                col = domain.index(mu, q)
-                for word, s, value in cols[q]:
-                    w.add(codomain.index(prefix + word, s), col, value)
-    return w
+    n, d = sym.n, sym.d
+    # interior words (a letter below n) carry to their successor, slot by slot
+    lengths, digits = fock.basis_digits(n, depth)
+    src = np.flatnonzero(SubspaceSelector.N.mask(domain)[::d])
+    m = lengths[src]
+    succ = fock.word_count(n, m - 1) + fock.digit_values(fock.carry(digits[src], n), n) // n ** (depth - m)
+    # the all-n chain n^m (the vacuum at m = 0) goes to e_1^m tensor L h_q
+    length, value, s, q, coeff = _symbol_arrays(sym)
+    m = np.arange(depth + 1)[:, None]
+    rows = (fock.word_count(n, m + length - 1) + value) * d + s
+    cols = (fock.word_count(n, m) - 1) * d + q
+    parts = [(_slots(succ, d), _slots(src, d), 1.0), (rows, cols, coeff)]
+    return _operator(domain, codomain, _triplets(parts, (codomain.size, domain.size)))
 
 
 def build_wl_adjoint(sym: Symbol, depth: int, cap: int | None = None) -> FockOperator:
@@ -229,45 +259,35 @@ def build_wl_adjoint(sym: Symbol, depth: int, cap: int | None = None) -> FockOpe
     Column for (gamma, l): the inverse carry sends gamma to its
     predecessor when some letter exceeds 1, and the leading-ones prefix
     contributes one all-n chain term e_n^p tensor L*(gamma with p ones
-    dropped) for each 0 <= p <= (number of leading ones).
+    dropped) for each 0 <= p <= (number of leading ones).  L* reads the
+    word u = gamma with p ones dropped, so each entry (u, l, q) of L
+    reaches the columns 1^p u and lands on the chain words n^p.
 
     Assembled without reference to build_wl; the conjugate-transpose
     identity between the two is a verification target, not an input.
     """
     basis = fock.enumerate_basis(sym.n, depth, sym.d, cap=cap)
-    # regroup entries for L*(e_word tensor h_s) lookups
-    by_word_slot = {}
-    for (word, s, q), value in sym.entries.items():
-        by_word_slot.setdefault((word, s), []).append((q, np.conj(value)))
-    w = FockOperator(basis, basis)
-    n = sym.n
-    for gamma in basis.words:
-        lo = fock.leading_ones(gamma)
-        for l in range(1, sym.d + 1):
-            col = basis.index(gamma, l)
-            if fock.word_in_m0(gamma):
-                w.add(basis.index(fock.predecessor(gamma, n), l), col, 1.0)
-            for p in range(lo.p + 1):
-                dropped = lo.drop(p)
-                chain = (n,) * p
-                for q, cval in by_word_slot.get((dropped, l), ()):
-                    w.add(basis.index(chain, q), col, cval)
-    return w
+    n, d = sym.n, sym.d
+    # words with a letter above 1 go back to their predecessor, slot by slot
+    lengths, digits = fock.basis_digits(n, depth)
+    src = np.flatnonzero(SubspaceSelector.M.mask(basis)[::d])
+    m = lengths[src]
+    pred = fock.word_count(n, m - 1) + fock.digit_values(fock.inverse_carry(digits[src], n), n) // n ** (depth - m)
+    length, value, l, q, coeff = _symbol_arrays(sym)
+    p = np.arange(depth + 1)[:, None]
+    fits = p + length <= depth
+    p, length, value, l, q, coeff = (np.broadcast_to(a, fits.shape)[fits] for a in (p, length, value, l, q, coeff))
+    cols = (fock.word_count(n, p + length - 1) + value) * d + l
+    rows = (fock.word_count(n, p) - 1) * d + q
+    parts = [(_slots(pred, d), _slots(src, d), 1.0), (rows, cols, np.conj(coeff))]
+    return _operator(basis, basis, _triplets(parts, (basis.size, basis.size)))
 
 
 def block(w: FockOperator, row_sel: SubspaceSelector, col_sel: SubspaceSelector) -> FockOperator:
     """Compression of w to selected row and column sectors."""
-    rows = SubBasis(w.codomain, row_sel)
-    cols = SubBasis(w.domain, col_sel)
-    row_map = {pi: i for i, pi in enumerate(rows.parent_indices)}
-    col_map = {pj: j for j, pj in enumerate(cols.parent_indices)}
-    out = FockOperator(cols, rows)
-    for (i, j), v in w.data.items():
-        ri = row_map.get(i)
-        cj = col_map.get(j)
-        if ri is not None and cj is not None:
-            out.data[(ri, cj)] = v
-    return out
+    rows = subbasis(w.codomain, row_sel)
+    cols = subbasis(w.domain, col_sel)
+    return _operator(cols, rows, w.to_csr()[rows.parent_indices][:, cols.parent_indices])
 
 
 def hardy_transport(v, basis, chain: str = "ones", atol: float = 0.0) -> np.ndarray:
@@ -283,20 +303,14 @@ def hardy_transport(v, basis, chain: str = "ones", atol: float = 0.0) -> np.ndar
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != basis.size:
         raise ValueError("vector length %d != basis size %d" % (v.size, basis.size))
-    d = basis.d
-    out = np.zeros((basis.depth + 1, d), dtype=complex)
-    letter = 1 if chain == "ones" else basis.n
-    for i in range(basis.size):
-        word, s = basis.pair(i)
-        if v[i] == 0:
-            continue
-        if all(a == letter for a in word):
-            out[len(word), s - 1] = v[i]
-        elif abs(v[i]) > atol:
-            raise OffChainSupport(
-                "component %g on word %r is off the %s chain" % (abs(v[i]), word, chain)
-            )
-    return out
+    on = (SubspaceSelector.M_PERP if chain == "ones" else SubspaceSelector.N_PERP).mask(basis)
+    off = np.flatnonzero(~on & (np.abs(v) > atol))
+    if off.size:
+        word, _ = basis.pair(int(off[0]))
+        raise OffChainSupport(
+            "component %g on word %r is off the %s chain" % (abs(v[off[0]]), word, chain)
+        )
+    return v[on].reshape(basis.depth + 1, basis.d)
 
 
 def hardy_block_matrix(wblock: FockOperator) -> np.ndarray:
@@ -304,17 +318,14 @@ def hardy_block_matrix(wblock: FockOperator) -> np.ndarray:
 
     Rows must be a 1-chain sub-basis and columns an all-n chain sub-basis
     (for n = 1 the two chains coincide).  Entry layout is degree-major
-    with the slot innermost on both sides.
+    with the slot innermost on both sides, which is the sub-basis order
+    itself: a chain holds one word per length.
     """
-    rows = wblock.codomain
-    cols = wblock.domain
-    d = rows.d
-    out = np.zeros(((rows.depth + 1) * d, (cols.depth + 1) * d), dtype=complex)
-    for (i, j), v in wblock.data.items():
-        rword, s = rows.pair(i)
-        cword, q = cols.pair(j)
-        out[len(rword) * d + s - 1, len(cword) * d + q - 1] = v
-    return out
+    chains = (SubspaceSelector.M_PERP, SubspaceSelector.N_PERP)
+    for side in (wblock.codomain, wblock.domain):
+        if getattr(side, "selector", None) not in chains:
+            raise ValueError("hardy_block_matrix needs chain sub-bases, got %r" % (side,))
+    return wblock.toarray()
 
 
 def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
@@ -337,25 +348,18 @@ def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
 
 def inclusion(w: FockOperator) -> FockOperator:
     """Canonical inclusion of the domain basis into the codomain basis."""
-    data = {(i, i): 1.0 + 0.0j for i in range(w.domain.size)}
-    return FockOperator(w.domain, w.codomain, data)
+    return FockOperator(w.domain, w.codomain, sparse.eye(w.codomain.size, w.domain.size))
 
 
 def square_compression(w: FockOperator) -> np.ndarray:
     """Dense square matrix: rows cut back to the domain's index range."""
-    n = w.domain.size
-    out = np.zeros((n, n), dtype=complex)
-    for (i, j), v in w.data.items():
-        if i < n:
-            out[i, j] = v
-    return out
+    return w.restrict_rows(w.domain.size).toarray()
 
 
 def dump_lines(w: FockOperator, sym: Symbol) -> list:
     """Text dump: header '# n d D Dcod', then 'row col re im' per entry."""
     dcod = getattr(w.codomain, "depth", w.domain.depth)
     lines = ["# %d %d %d %d" % (sym.n, sym.d, w.domain.depth, dcod)]
-    for (i, j) in sorted(w.data):
-        v = w.data[(i, j)]
+    for (i, j), v in zip(w.data, w.to_csr().data):
         lines.append("%d %d %.17g %.17g" % (i, j, v.real, v.imag))
     return lines

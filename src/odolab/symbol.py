@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import fock, numerics
 from .errors import BoundaryZeroSuspected, IdenticallySingular, SymbolFormatError
 from .numerics import DEFAULT_TOL, Tolerance
 
@@ -84,13 +84,6 @@ class Symbol:
             if fock.word_in_m0(key[0])
         }
         return Symbol(self.n, self.d, kept)
-
-    def columns_by_source(self):
-        """entries regrouped as q -> list of (word, s, value)."""
-        cols = {q: [] for q in range(1, self.d + 1)}
-        for (word, s, q), value in self.entries.items():
-            cols[q].append((word, s, value))
-        return cols
 
     def as_matrix(self, basis: fock.BasisIndex) -> np.ndarray:
         """Matrix of L against the given Fock basis, one column per slot."""
@@ -267,13 +260,7 @@ def is_invertible_hinf(
     floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
     while keep > 1 and abs(coeffs[keep - 1]) <= floor:
         keep -= 1
-    return winding_is_zero(coeffs[:keep], grid)
-
-
-def winding_is_zero(coeffs, grid: int) -> bool:
-    from .numerics import winding_number
-
-    return winding_number(coeffs, grid_size=grid) == 0
+    return numerics.winding_number(coeffs[:keep], grid_size=grid) == 0
 
 
 def sup_norm(theta: MatrixPolynomial, grid: int = DEFAULT_BOUNDARY_GRID):

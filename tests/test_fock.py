@@ -6,9 +6,13 @@ from odolab.errors import AllNsWord, CapExceeded, OnesChainWord
 from odolab.fock import (
     VACUUM,
     BasisIndex,
+    basis_digits,
+    carry,
     classify_word,
+    digit_values,
     enumerate_basis,
     enumerate_words,
+    inverse_carry,
     is_ns_chain,
     is_ones_chain,
     leading_ones,
@@ -166,3 +170,54 @@ def test_chain_predicates():
     assert is_ns_chain((3, 3), 3)
     assert not is_ns_chain((3, 1), 3)
     assert is_ones_chain(VACUUM) and is_ns_chain(VACUUM, 2)
+
+
+def test_closed_form_index_matches_enumeration():
+    # position in enumerate_words, times d plus the slot, is the flat index
+    for n in (1, 2, 3):
+        for depth in range(7):
+            for d in (1, 2):
+                b = BasisIndex(n, depth, d)
+                words = enumerate_words(n, depth)
+                assert b.size == d * len(words)
+                for pos, w in enumerate(words):
+                    assert b.contains_word(w)
+                    for s in range(1, d + 1):
+                        i = pos * d + s - 1
+                        assert b.index(w, s) == i
+                        assert b.pair(i) == (w, s)
+
+
+def test_closed_form_index_rejects_outside_words():
+    b = BasisIndex(2, 3, 1)
+    for w in [(1, 1, 1, 1), (3,), (0, 1)]:
+        assert not b.contains_word(w)
+        with pytest.raises(KeyError):
+            b.index(w, 1)
+    with pytest.raises(IndexError):
+        b.pair(b.size)
+    assert b.words == enumerate_words(2, 3)
+
+
+def test_vectorised_carries_match_scalar():
+    for n in (1, 2, 3):
+        lengths, padded = basis_digits(n, 6)
+        assert [tuple(int(a) + 1 for a in row[:m]) for row, m in zip(padded, lengths)] == enumerate_words(n, 6)
+        for m in range(1, 7):
+            digits = padded[lengths == m, :m]
+            words = [tuple(int(a) + 1 for a in row) for row in digits]
+            assert words == list(product(range(1, n + 1), repeat=m))
+            assert digit_values(digits, n).tolist() == list(range(n**m))
+            sources = [i for i, w in enumerate(words) if word_in_n0(w, n)]
+            if sources:
+                got = carry(digits[sources], n)
+                assert [tuple(r) for r in (got + 1).tolist()] == [successor(words[i], n) for i in sources]
+            images = [i for i, w in enumerate(words) if word_in_m0(w)]
+            if images:
+                got = inverse_carry(digits[images], n)
+                assert [tuple(r) for r in (got + 1).tolist()] == [predecessor(words[i], n) for i in images]
+            # the all-n and the 1-chain rows have no carry, as in the scalar case
+            with pytest.raises(AllNsWord):
+                carry(digits[-1:], n)
+            with pytest.raises(OnesChainWord):
+                inverse_carry(digits[:1], n)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from odolab.errors import OffChainSupport
-from odolab.fock import VACUUM, enumerate_basis
+from odolab.fock import (
+    VACUUM,
+    enumerate_basis,
+    leading_ones,
+    predecessor,
+    successor,
+    word_in_m0,
+    word_in_n0,
+)
 from odolab.operator import (
     FockOperator,
     SubspaceSelector,
@@ -295,3 +303,94 @@ def test_dump_format():
     for r in rows:
         i, j, re, im = int(r[0]), int(r[1]), float(r[2]), float(r[3])
         assert a[i, j] == complex(re, im)
+
+
+def _is_canonical(op):
+    csr = op.to_csr()
+    return csr.has_sorted_indices and csr.has_canonical_format and np.all(csr.data != 0)
+
+
+def test_entry_view_round_trip_is_exact():
+    rng = np.random.default_rng(404)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            sym = random_symbol(rng, n, int(rng.integers(1, 3)), 2)
+            for op in (build_wl(sym, 3), build_wl_adjoint(sym, 3)):
+                assert _is_canonical(op)
+                same = FockOperator(op.domain, op.codomain, op.data)
+                assert same.shape == op.shape and same.nnz == op.nnz
+                assert same.max_abs_diff(op) == 0.0
+                assert same.data == op.data
+                # a plain dict of the same entries builds the same matrix
+                copied = FockOperator(op.domain, op.codomain, dict(op.data.items()))
+                assert _is_canonical(copied)
+                assert copied.data == op.data
+                assert len(op.data) == op.nnz
+                for key, value in op.data.items():
+                    assert key in op.data and op.entry(*key) == value
+
+
+def test_dict_entries_drop_zeros_and_reject_wrong_shape():
+    b = enumerate_basis(2, 1, 1)
+    op = FockOperator(b, b, {(0, 1): 2.0, (1, 1): 0.0, (2, 0): -1j})
+    assert op.nnz == 2 and _is_canonical(op)
+    assert (1, 1) not in op.data and op.entry(1, 1) == 0
+    assert list(op.data) == [(0, 1), (2, 0)]
+    wide = build_wl(shift_like(1), 1)
+    with pytest.raises(ValueError):
+        FockOperator(b, b, wide.data)
+
+
+def test_products_and_blocks_stay_canonical():
+    sym = Symbol(2, 2, {((), 1, 2): 1.0, ((1,), 2, 1): 0.5, ((2, 1), 1, 1): -0.25j})
+    w = build_wl(sym, 3)
+    ct = w.conjugate_transpose()
+    for op in (ct, ct @ w, w.restrict_rows(w.domain.size), block(w, M, N), block(w, M_PERP, N_PERP)):
+        assert _is_canonical(op)
+    # a product entry that cancels to an exact zero is not stored
+    b = enumerate_basis(1, 1, 1)
+    row = FockOperator(b, b, {(0, 0): 1.0, (0, 1): 1.0})
+    col = FockOperator(b, b, {(0, 0): 1.0, (1, 0): -1.0})
+    assert (row @ col).nnz == 0
+
+
+def _scalar_builds(sym, depth):
+    """Both maps entry by entry from the scalar carries, as dicts."""
+    n, d = sym.n, sym.d
+    dom = enumerate_basis(n, depth, d)
+    cod = enumerate_basis(n, depth + sym.K, d)
+    fwd, adj = {}, {}
+    for mu in dom.words:
+        for q in range(1, d + 1):
+            col = dom.index(mu, q)
+            if word_in_n0(mu, n):
+                fwd[(cod.index(successor(mu, n), q), col)] = 1.0
+                continue
+            # the vacuum and the all-n chains restart as 1^m . L
+            for (word, s, qq), value in sym.entries.items():
+                if qq == q:
+                    fwd[(cod.index((1,) * len(mu) + word, s), col)] = value
+    for gamma in dom.words:
+        lo = leading_ones(gamma)
+        for l in range(1, d + 1):
+            col = dom.index(gamma, l)
+            if word_in_m0(gamma):
+                adj[(dom.index(predecessor(gamma, n), l), col)] = 1.0
+            for p in range(lo.p + 1):
+                for (word, s, q), value in sym.entries.items():
+                    if word == lo.drop(p) and s == l:
+                        adj[(dom.index((n,) * p, q), col)] = np.conj(value)
+    return fwd, adj
+
+
+def test_vectorised_builds_match_scalar_reference():
+    # no two terms share an entry, so the match is exact
+    rng = np.random.default_rng(606)
+    for n in (1, 2, 3):
+        for d in (1, 2):
+            for _ in range(3):
+                sym = random_symbol(rng, n, d, 3)
+                for depth in range(5 if n < 3 else 4):
+                    fwd, adj = _scalar_builds(sym, depth)
+                    assert dict(build_wl(sym, depth).data.items()) == fwd
+                    assert dict(build_wl_adjoint(sym, depth).data.items()) == adj
