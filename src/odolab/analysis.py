@@ -24,10 +24,13 @@ from scipy import sparse
 
 from . import fock
 from .errors import DefectUnstable, IdenticallySingular, NotIsometric, RangeNotContained
-from .numerics import DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm, orthocomplement_basis
+from .numerics import (
+    DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm, orthocomplement_basis, sigma_min,
+)
 from .operator import (
     FockOperator,
     SubspaceSelector,
+    _symbol_arrays,
     build_wl,
     build_wl_adjoint,
     inclusion,
@@ -66,13 +69,15 @@ def _require_isometric(sym: Symbol, tol: Tolerance) -> None:
 class DefectBasis:
     """Defect data inside the 1-chain sector at one truncation depth.
 
-    Columns of el_basis span the orthocomplement of the shifted range
-    (shifts p >= 1); columns of defect_basis also quotient out the range
-    itself (shifts p >= 0), which is the adjoint kernel in general.
-    stacked_kernel_dim recomputes the same dimension from the kernel of
-    the stacked annihilation map, an independent numerical route.
-    el_minus_range_dim is the literal orthogonal difference, which only
-    has to match defect_dim when the map is isometric.
+    The operator side (route one) scatters the 1-chain entries of L over
+    every shift.  Columns of el_basis span the orthocomplement of the
+    shifted range (shifts p >= 1); columns of defect_basis also quotient
+    out the range itself (shifts p >= 0), which is the adjoint kernel in
+    general.  el_minus_range_dim is the literal orthogonal difference,
+    which only has to match defect_dim when the map is isometric.
+    The analytic side (route two) is stacked_matrix, the adjoint T_Theta*
+    of the block Toeplitz truncation of the symbol; stacked_kernel_dim
+    recomputes the defect dimension as its kernel dimension.
     """
 
     depth: int
@@ -92,55 +97,45 @@ class DefectBasis:
         return self.el_basis.shape[1]
 
 
-def _shifted_chain_column(sym: Symbol, p: int, q: int, depth: int) -> np.ndarray:
-    # 1-chain part of the p-shifted column of L, truncated at depth
+def _chain_sector(sym: Symbol, depth: int) -> np.ndarray:
+    # 1-chain part of L h_q shifted by p, truncated at depth: an entry on
+    # the 1-chain word 1^r (word value 0) lands on row (p + r, s) of
+    # column (p, q)
     d = sym.d
-    v = np.zeros((depth + 1) * d, dtype=complex)
-    for r in range(0, depth - p + 1):
-        word = (1,) * r
-        for s in range(1, d + 1):
-            c = sym.entry(word, s, q)
-            if c != 0:
-                v[(p + r) * d + (s - 1)] = c
-    return v
+    length, value, s, q, coeff = _symbol_arrays(sym)
+    p = np.arange(depth + 1)[:, None]
+    fits = (value == 0) & (p + length <= depth)
+    p, length, s, q, coeff = (np.broadcast_to(a, fits.shape)[fits] for a in (p, length, s, q, coeff))
+    out = np.zeros(((depth + 1) * d, (depth + 1) * d), dtype=complex)
+    out[(p + length) * d + s, p * d + q] = coeff
+    return out
 
 
 def defect(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> DefectBasis:
     """Two-route defect computation inside the depth-truncated 1-chain sector.
 
-    Route one: orthocomplement of the shifted columns.  Route two: kernel
-    of the stacked map f -> (L* applied to every backward shift of f).
-    Both are exact reductions of the infinite-space conditions at this
-    depth; they are compared by the caller or by wold_multiplicity.
+    Route one, the operator side: the 1-chain entries of L scattered over
+    every shift p, then the orthocomplement of the shifted columns.
+    Route two, the analytic side: the kernel of the stacked map
+    f -> (L* applied to every backward shift of f), which is T_Theta*.
+    Neither route reads the other's assembly.  Both are exact reductions
+    of the infinite-space conditions at this depth; they are compared by
+    the caller or by wold_multiplicity.
     """
     d = sym.d
     ambient = (depth + 1) * d
-    shifts_pos = [
-        _shifted_chain_column(sym, p, q, depth)
-        for p in range(1, depth + 1)
-        for q in range(1, d + 1)
-    ]
-    range_cols = [_shifted_chain_column(sym, 0, q, depth) for q in range(1, d + 1)]
-    el_basis = orthocomplement_basis(shifts_pos, ambient, tol)
-    defect_basis = orthocomplement_basis(shifts_pos + range_cols, ambient, tol)
+    chain = _chain_sector(sym, depth)
+    shifted, range_cols = chain[:, d:], chain[:, :d]
+    el_basis = orthocomplement_basis(shifted, ambient, tol)
+    defect_basis = orthocomplement_basis(np.hstack([shifted, range_cols]), ambient, tol)
 
-    # stacked annihilation map: row block p holds L* after p backward shifts
-    stacked = np.zeros(((depth + 1) * d, ambient), dtype=complex)
-    for p in range(depth + 1):
-        for m in range(p, depth + 1):
-            for s in range(1, d + 1):
-                for q in range(1, d + 1):
-                    c = sym.entry((1,) * (m - p), s, q)
-                    if c != 0:
-                        stacked[p * d + (q - 1), m * d + (s - 1)] = np.conj(c)
+    stacked = toeplitz_truncation(sym.theta(), depth + 1).conj().T
     stacked_kernel_dim = ambient - numerical_rank(stacked, tol)
 
     # literal E_L minus closure(L E): project the range onto E_L first
-    if el_basis.shape[1] and range_cols:
-        proj = el_basis.conj().T @ np.column_stack(range_cols)
-        el_minus_range = el_basis.shape[1] - numerical_rank(proj, tol)
-    else:
-        el_minus_range = el_basis.shape[1]
+    el_minus_range = el_basis.shape[1]
+    if el_minus_range:
+        el_minus_range -= numerical_rank(el_basis.conj().T @ range_cols, tol)
 
     return DefectBasis(
         depth=depth,
@@ -173,11 +168,19 @@ def fredholm_index(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     return -here.dim
 
 
+def _mtheta_multiplicity(sym: Symbol, depth: int, tol: Tolerance) -> int:
+    # the symbol side of wold_multiplicity, see there
+    t = toeplitz_truncation(sym.theta(), depth + 1)
+    keep_cols = (depth - sym.K + 1) * sym.d
+    return keep_cols - numerical_rank(t.conj().T[:, :keep_cols], tol)
+
+
 def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     """(shift multiplicity of the map, shift multiplicity of its analytic
     symbol), each from its own side of the unitary equivalence.
 
-    The symbol side counts low-degree kernel vectors of the transposed
+    The map side is the defect dimension of the operator-side route.  The
+    symbol side counts low-degree kernel vectors of the transposed
     Toeplitz truncation; the degree cut depth - K leaves a buffer of K
     degrees so the count is an exact reduction, not a heuristic.
     """
@@ -189,13 +192,7 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
         raise DefectUnstable(
             "defect dimension moved %d -> %d between depths" % (below, here.dim)
         )
-    mult_wl = here.dim
-
-    t = toeplitz_truncation(sym.theta(), depth + 1)
-    keep_cols = (depth - sym.K + 1) * sym.d
-    a = t.conj().T[:, :keep_cols]
-    mult_mtheta = keep_cols - numerical_rank(a, tol)
-    return mult_wl, mult_mtheta
+    return here.dim, _mtheta_multiplicity(sym, depth, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +346,7 @@ def coburn_bound(
     out = []
     for lam in lambdas:
         lam = complex(lam)
-        s = np.linalg.svd(dense - lam * inc, compute_uv=False)
-        out.append(CoburnPoint(lam=lam, sigma_min=float(s[-1]), floor=1.0 - abs(lam)))
+        out.append(CoburnPoint(lam=lam, sigma_min=sigma_min(dense - lam * inc), floor=1.0 - abs(lam)))
     return out
 
 
@@ -383,9 +379,7 @@ def hyponormality_probe(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -
     """
     if sym.n < 2:
         raise ValueError("the expansivity obstruction needs n >= 2")
-    mat = sym.matrix()
-    s = np.linalg.svd(mat, compute_uv=False)
-    sigma_min_l = float(s[-1]) if s.size else 0.0
+    sigma_min_l = sigma_min(sym.matrix())
     necessary = sigma_min_l >= 1.0 - tol.eps_exact
 
     w = build_wl(sym, depth)
@@ -499,9 +493,7 @@ def classify(
             vals = {}
             for dd in (depth - 1, depth):
                 if dd >= 0:
-                    sq = square_compression(build_wl(sym, dd))
-                    s = np.linalg.svd(sq, compute_uv=False)
-                    vals[dd] = float(s[-1]) if s.size else 0.0
+                    vals[dd] = sigma_min(square_compression(build_wl(sym, dd)))
             sigma_min_square = vals
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
@@ -512,7 +504,7 @@ def classify(
     if isometric and stable:
         fredholm = -basis_defect.dim
         if depth >= sym.K:
-            mult_wl, mult_mtheta = wold_multiplicity(sym, depth, tol)
+            mult_wl, mult_mtheta = basis_defect.dim, _mtheta_multiplicity(sym, depth, tol)
 
     norm = norm_report(sym, depth, grid, tol)
 

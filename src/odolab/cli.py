@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("classify", help="full structural report for one symbol")
-    sub.add_argument("--invertibility", action="store_true", help="also run the boundary winding test")
+    sub.add_argument("--invertibility", action=argparse.BooleanOptionalAction, default=True,
+                     help="run the boundary winding test (on by default)")
     _add_common(sub)
     sub.set_defaults(func=cmd_classify)
 

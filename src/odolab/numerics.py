@@ -23,13 +23,11 @@ class Tolerance:
     """Threshold bundle.
 
     eps_exact guards identities expected to hold at machine precision,
-    eps_rank drives rank decisions, eps_trunc (optional) bounds errors
-    attributable to a series truncation in the input itself.
+    eps_rank drives rank decisions.
     """
 
     eps_exact: float = DEFAULT_EPS_EXACT
     eps_rank: float = DEFAULT_EPS_RANK
-    eps_trunc: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps_exact <= self.eps_rank:
@@ -66,19 +64,27 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def sigma_min(a) -> float:
+    """Smallest singular value; 0.0 for an empty matrix."""
+    s = np.linalg.svd(as_cmatrix(a), compute_uv=False)
+    return float(s[-1]) if s.size else 0.0
+
+
+def _rank_cut(s: np.ndarray, tol: Tolerance) -> int:
+    # singular values above eps_rank relative to the largest; none when
+    # the largest is itself at or below eps_rank
+    if s.size == 0 or s[0] <= tol.eps_rank:
+        return 0
+    return int(np.sum(s > tol.eps_rank * s[0]))
+
+
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count singular values above eps_rank relative to the largest.
 
     The zero matrix (largest singular value <= eps_rank absolutely) has
     rank 0.
     """
-    m = as_cmatrix(a)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] <= tol.eps_rank:
-        return 0
-    return int(np.sum(s > tol.eps_rank * s[0]))
+    return _rank_cut(np.linalg.svd(as_cmatrix(a), compute_uv=False), tol)
 
 
 def least_squares(b, a):
@@ -105,7 +111,7 @@ def orthocomplement_basis(vectors, ambient: int, tol: Tolerance = DEFAULT_TOL):
     Returns an (ambient, ambient - rank) array with orthonormal columns.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = vectors.astype(complex)
+        cols = np.asarray(vectors, dtype=complex)
     else:
         vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
         if not vecs:
@@ -116,11 +122,7 @@ def orthocomplement_basis(vectors, ambient: int, tol: Tolerance = DEFAULT_TOL):
     if cols.shape[1] == 0:
         return np.eye(ambient, dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=True)
-    if s.size == 0 or s[0] <= tol.eps_rank:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.eps_rank * s[0]))
-    return u[:, rank:]
+    return u[:, _rank_cut(s, tol):]
 
 
 def winding_number(coeffs, grid_size: int = DEFAULT_WINDING_GRID) -> int:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from odolab import analysis
 from odolab.analysis import (
     ClassificationReport,
+    _chain_sector,
     classify,
     coburn_bound,
     defect,
@@ -72,6 +74,52 @@ def test_defect_shift_table():
             if basis.dim:
                 resid = basis.stacked_matrix @ basis.defect_basis
                 assert np.max(np.abs(resid)) <= 1e-10
+
+
+def _scalar_chain_column(sym, p, q, depth):
+    # 1-chain part of the p-shifted column of L, truncated at depth
+    d = sym.d
+    v = np.zeros((depth + 1) * d, dtype=complex)
+    for r in range(0, depth - p + 1):
+        for s in range(1, d + 1):
+            v[(p + r) * d + (s - 1)] = sym.entry((1,) * r, s, q)
+    return v
+
+
+def _scalar_stacked(sym, depth):
+    # row block p holds L* after p backward shifts
+    d = sym.d
+    out = np.zeros(((depth + 1) * d, (depth + 1) * d), dtype=complex)
+    for p in range(depth + 1):
+        for m in range(p, depth + 1):
+            for s in range(1, d + 1):
+                for q in range(1, d + 1):
+                    out[p * d + (q - 1), m * d + (s - 1)] = np.conj(sym.entry((1,) * (m - p), s, q))
+    return out
+
+
+def random_symbol(rng, n, d, max_len, count=6):
+    entries = {}
+    for _ in range(count):
+        m = int(rng.integers(0, max_len + 1))
+        word = tuple(int(a) for a in rng.integers(1, n + 1, size=m))
+        s = int(rng.integers(1, d + 1))
+        q = int(rng.integers(1, d + 1))
+        entries[(word, s, q)] = complex(rng.standard_normal(), rng.standard_normal())
+    return Symbol(n, d, entries)
+
+
+def test_chain_routes_match_scalar_reference():
+    # no two terms share an entry, so the match is exact
+    rng = np.random.default_rng(707)
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            for _ in range(3):
+                sym = random_symbol(rng, n, d, 3)
+                for depth in range(7):
+                    cols = [_scalar_chain_column(sym, p, q, depth) for p in range(depth + 1) for q in range(1, d + 1)]
+                    assert np.array_equal(_chain_sector(sym, depth), np.column_stack(cols))
+                    assert np.array_equal(defect(sym, depth).stacked_matrix, _scalar_stacked(sym, depth))
 
 
 def test_defect_vacuum_and_diagonal():
@@ -288,3 +336,32 @@ def test_classify_isometric_iff_gram():
         gram = (w.conjugate_transpose() @ w).toarray()
         gram_ok = np.max(np.abs(gram - np.eye(w.domain.size))) <= 1e-10
         assert rep.isometric == gram_ok
+
+
+def test_classify_depth_zero():
+    rep = classify(Symbol(2, 1, {((), 1, 1): 1.0}), 0)
+    assert rep.isometric
+    assert rep.mult_wl == rep.mult_mtheta == 0
+    assert rep.fredholm == 0
+
+
+def test_classify_runs_the_defect_once(monkeypatch):
+    # one defect pass on the operator side, one M_Theta count on the
+    # analytic side; the Wold pair compares the two
+    calls = []
+
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, wrapper)
+
+    counted("defect_with_stability")
+    counted("_mtheta_multiplicity")
+    rep = classify(shift_like(2, d=2), 5)
+    assert sorted(calls) == [("_mtheta_multiplicity", 5), ("defect_with_stability", 5)]
+    assert rep.mult_wl == rep.mult_mtheta == 4
+    assert rep.fredholm == -4

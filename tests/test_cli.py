@@ -35,11 +35,28 @@ def test_boundary_zero_refusal_exits_two(capsys, one_plus_z):
 
 
 def test_classify_without_invertibility_succeeds(capsys, one_plus_z):
-    code, out = run(capsys, "classify", one_plus_z, "--depth", "4")
+    code, out = run(capsys, "classify", one_plus_z, "--no-invertibility", "--depth", "4")
     assert code == 0
     report = json.loads(out)["report"]
     assert report["invertible_checked"] is False
     assert report["isometric"] is False
+
+
+def test_classify_checks_invertibility_by_default(capsys):
+    # the library's classify defaults to invertibility=True; so does the CLI
+    code, out = run(capsys, "classify", "--gallery", "shift", "--depth", "3")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["invertible_checked"] is True
+    assert report["invertible"] is False
+
+
+def test_classify_depth_zero_succeeds(capsys):
+    code, out = run(capsys, "classify", "--gallery", "vacuum", "--depth", "0")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["fredholm_index"] == 0
+    assert report["mult_wl"] == report["mult_mtheta"] == 0
 
 
 def test_gallery_build_classify_round_trip(capsys, tmp_path):
@@ -80,8 +97,8 @@ def test_verify_suite_passes(capsys):
 
 
 def test_reports_byte_identical(capsys, one_plus_z):
-    _code, first = run(capsys, "classify", one_plus_z, "--depth", "3")
-    _code, second = run(capsys, "classify", one_plus_z, "--depth", "3")
+    _code, first = run(capsys, "classify", one_plus_z, "--no-invertibility", "--depth", "3")
+    _code, second = run(capsys, "classify", one_plus_z, "--no-invertibility", "--depth", "3")
     assert first == second
 
 

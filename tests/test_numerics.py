@@ -9,6 +9,7 @@ from odolab.numerics import (
     numerical_rank,
     operator_norm,
     orthocomplement_basis,
+    sigma_min,
     svd,
     winding_number,
 )
@@ -90,6 +91,27 @@ def test_numerical_rank_zero_matrix():
     assert numerical_rank(np.zeros((4, 3))) == 0
     # tiny uniform matrix: top singular value below the absolute floor
     assert numerical_rank(1e-12 * np.ones((3, 3))) == 0
+
+
+def test_sigma_min_values():
+    assert sigma_min(np.diag([3.0, 0.5, 2.0])) == pytest.approx(0.5)
+    assert sigma_min(np.zeros((0, 3))) == 0.0
+    rng = np.random.default_rng(23)
+    a = rand_matrix(rng, 6, 4)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert sigma_min(a) == pytest.approx(s[-1], abs=1e-14)
+
+
+def test_rank_and_orthocomplement_share_the_cut():
+    # singular values 1, 1e-7, 1e-9 straddle eps_rank = 1e-8: the rank
+    # decision and the complement dimension must split them the same way
+    rng = np.random.default_rng(29)
+    u = np.linalg.qr(rand_matrix(rng, 5, 5))[0]
+    v = np.linalg.qr(rand_matrix(rng, 3, 3))[0]
+    a = u[:, :3] @ np.diag([1.0, 1e-7, 1e-9]) @ v.conj().T
+    for tol in (Tolerance(), Tolerance(eps_rank=1e-6), Tolerance(eps_exact=1e-12, eps_rank=1e-10)):
+        assert numerical_rank(a, tol) + orthocomplement_basis(a, 5, tol).shape[1] == 5
+    assert numerical_rank(a) == 2
 
 
 def test_least_squares_orthogonal_residual():
