@@ -23,6 +23,7 @@ from .errors import (
     OffChainSupport,
     OnesChainWord,
     RangeNotContained,
+    SpectralUncertified,
     SymbolFormatError,
 )
 from .numerics import Tolerance, winding_number
@@ -79,6 +80,7 @@ __all__ = [
     "OffChainSupport",
     "OnesChainWord",
     "RangeNotContained",
+    "SpectralUncertified",
     "SubspaceSelector",
     "Symbol",
     "SymbolFormatError",

@@ -26,6 +26,7 @@ from . import fock
 from .errors import DefectUnstable, IdenticallySingular, NotIsometric, RangeNotContained
 from .numerics import (
     DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm, orthocomplement_basis, sigma_min,
+    sparse_sigma_min,
 )
 from .operator import (
     FockOperator,
@@ -33,6 +34,7 @@ from .operator import (
     _symbol_arrays,
     build_wl,
     build_wl_adjoint,
+    carry_singular_values,
     inclusion,
     square_compression,
     toeplitz_truncation,
@@ -224,6 +226,12 @@ def norm_report(
     The closed form max(1, boundary sup of the symbol) applies when the
     symbol has no interior support; otherwise formula_value is None and
     only the truncated sigma_max and the symbol bracket are reported.
+
+    Route: sigma_max is FockOperator.sigma_max, the largest singular value
+    of the carry/chain core (operator.carry_singular_values).  Its
+    certificate is structural: the build's carry columns are checked to
+    be distinct unit columns before the core is formed, so the value is
+    an exact reduction, not an iterate.
     """
     w = build_wl(sym, depth)
     sigma = w.sigma_max()
@@ -324,6 +332,8 @@ class CoburnPoint:
     lam: complex
     sigma_min: float
     floor: float
+    lower: float
+    residual: float
 
 
 def coburn_bound(
@@ -338,15 +348,21 @@ def coburn_bound(
     the exact restriction of the infinite map and the floor holds for
     every |lambda| < 1: an isometry cannot pull a unit vector closer to
     lambda times itself than the triangle inequality allows.
+
+    Route: numerics.sparse_sigma_min on the sparse W - lambda I, which
+    never densifies the map.  Each point carries its certificate: lower
+    is a bound no singular value goes below (inertia of the Gram matrix)
+    and residual the Ritz residual; a failed certificate or a solver that
+    does not converge raises SpectralUncertified.
     """
     _require_isometric(sym, tol)
     w = build_wl(sym, depth)
-    dense = w.toarray()
-    inc = inclusion(w).toarray()
+    a, inc = w.to_csr(), inclusion(w).to_csr()
     out = []
     for lam in lambdas:
         lam = complex(lam)
-        out.append(CoburnPoint(lam=lam, sigma_min=sigma_min(dense - lam * inc), floor=1.0 - abs(lam)))
+        cert = sparse_sigma_min(a - lam * inc, tol)
+        out.append(CoburnPoint(lam, cert.value, 1.0 - abs(lam), cert.lower, cert.residual))
     return out
 
 
@@ -396,6 +412,13 @@ def hyponormality_probe(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -
         witness_slot=slot,
         witness_gap=float(gaps[j]),
     )
+
+
+def _square_sigma_min(sym: Symbol, depth: int) -> float:
+    # smallest singular value of the square compression, from the carry core
+    w = build_wl(sym, depth)
+    s, ones = carry_singular_values(w.restrict_rows(w.domain.size))
+    return float(min(s[-1], 1.0) if ones else s[-1])
 
 
 def self_commutator_gap(sym: Symbol, depth: int) -> float:
@@ -489,12 +512,7 @@ def classify(
             invertible = is_invertible_hinf(sym.theta(), grid)
         except IdenticallySingular:
             invertible = False
-        if sym.d * fock.word_count(sym.n, depth) <= 1600:
-            vals = {}
-            for dd in (depth - 1, depth):
-                if dd >= 0:
-                    vals[dd] = sigma_min(square_compression(build_wl(sym, dd)))
-            sigma_min_square = vals
+        sigma_min_square = {dd: _square_sigma_min(sym, dd) for dd in (depth - 1, depth) if dd >= 0}
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     defect_dim = basis_defect.dim if isometric else None

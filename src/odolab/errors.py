@@ -69,3 +69,8 @@ class MethodDisagreement(CertificateError):
 
 class DefectUnstable(CertificateError):
     """Defect dimension still growing with depth; not certified finite."""
+
+
+class SpectralUncertified(CertificateError):
+    """A sparse eigensolver did not converge or its result failed the
+    residual or inertia check."""

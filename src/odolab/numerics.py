@@ -1,8 +1,9 @@
-"""Dense complex linear algebra kernel plus a certified winding count.
+"""Dense complex linear algebra kernel plus certified winding and sparse
+singular-value floors.
 
 The matrix routines are thin contract-carrying wrappers over numpy.linalg;
-winding_number is hand-rolled because it must refuse (rather than guess)
-when a root may sit on the unit circle.
+winding_number and sparse_sigma_min are hand-rolled because they must
+refuse (rather than guess) when their certificate fails.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryZeroSuspected
+from .errors import BoundaryZeroSuspected, SpectralUncertified
 
 DEFAULT_EPS_EXACT = 1e-10
 DEFAULT_EPS_RANK = 1e-8
 DEFAULT_WINDING_GRID = 8192
+GRAM_SHIFT = -1e-3
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,58 @@ def sigma_min(a) -> float:
     """Smallest singular value; 0.0 for an empty matrix."""
     s = np.linalg.svd(as_cmatrix(a), compute_uv=False)
     return float(s[-1]) if s.size else 0.0
+
+
+@dataclass(frozen=True)
+class SparseFloor:
+    """Smallest singular value with its certificate: no singular value
+    lies below lower, and residual is ||G x - value^2 x|| for the unit
+    Ritz vector x of the Gram matrix G."""
+
+    value: float
+    lower: float
+    residual: float
+
+
+def sparse_sigma_min(a, tol: Tolerance = DEFAULT_TOL) -> SparseFloor:
+    """Certified smallest singular value of a sparse matrix, never densified.
+
+    ARPACK finds the smallest eigenvalue of G = a* a in shift-invert mode
+    at the negative shift GRAM_SHIFT, so G - shift I stays positive
+    definite even when a is singular; theta is the Rayleigh quotient of
+    the Ritz vector.  With delta = eps_exact times a norm bound of G, the
+    residual must stay below delta, and an unpivoted symmetric LU of
+    G - (theta - delta) I (perm_r == perm_c) must have only positive
+    pivots: by Sylvester's law of inertia no eigenvalue of G lies below
+    theta - delta.  A failed check or a solver failure raises
+    SpectralUncertified.
+    """
+    from scipy import sparse
+    from scipy.sparse import linalg  # lazy: adds about 0.13 s to import odolab
+
+    g = sparse.csc_matrix(a.conj().T @ a)
+    size = g.shape[0]
+    delta = tol.eps_exact * max(1.0, float(abs(g).sum(axis=0).max()))
+    try:
+        if size <= 2:  # ARPACK needs k < size - 1
+            vecs = np.linalg.eigh(g.toarray())[1]
+        else:
+            v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
+            vecs = linalg.eigsh(g, k=1, sigma=GRAM_SHIFT, which="LM", v0=v0)[1]
+        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        gx = g @ x
+        theta = float(np.vdot(x, gx).real)
+        residual = float(np.linalg.norm(gx - theta * x))
+        shifted = sparse.csc_matrix(g - (theta - delta) * sparse.identity(size))
+        lu = linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # ArpackNoConvergence, ArpackError, singular factor
+        raise SpectralUncertified("sparse eigensolver failed: %s" % exc) from exc
+    if residual > delta:
+        raise SpectralUncertified("Ritz residual %.3e > %.3e" % (residual, delta))
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
+        raise SpectralUncertified("inertia check failed below %.6e" % (theta - delta))
+    return SparseFloor(float(np.sqrt(max(theta, 0.0))), float(np.sqrt(max(theta - delta, 0.0))), residual)
 
 
 def _rank_cut(s: np.ndarray, tol: Tolerance) -> int:

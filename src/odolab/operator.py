@@ -164,19 +164,24 @@ class FockOperator:
         return self._csr
 
     def conjugate_transpose(self) -> "FockOperator":
-        return _operator(self.codomain, self.domain, self._csr.conj().T)
+        out = self._csr.T.tocsr()
+        np.conjugate(out.data, out=out.data)
+        return _operator(self.codomain, self.domain, out)
 
     def restrict_rows(self, row_count: int) -> "FockOperator":
         """Keep rows below row_count; valid because deeper bases extend
-        shallower ones by index."""
+        shallower ones by index.  The result shares this operator's
+        arrays: a row prefix of a canonical CSR matrix is canonical."""
         rows = SubBasis(self.codomain, np.arange(row_count))
-        return _operator(self.domain, rows, self._csr[:row_count])
+        end = self._csr.indptr[row_count]
+        prefix = (self._csr.data[:end], self._csr.indices[:end], self._csr.indptr[: row_count + 1])
+        return FockOperator(self.domain, rows, EntryView(sparse.csr_matrix(prefix, shape=(row_count, self.shape[1]))))
 
     def max_abs_diff(self, other: "FockOperator") -> float:
         if self.shape != other.shape:
             raise ValueError("shape mismatch %r vs %r" % (self.shape, other.shape))
-        diff = abs(self._csr - other._csr)
-        return float(diff.max()) if diff.nnz else 0.0
+        diff = (self._csr - other._csr).data
+        return float(np.max(np.abs(diff))) if diff.size else 0.0
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.domain.size != other.codomain.size:
@@ -187,19 +192,12 @@ class FockOperator:
         sq = np.abs(self._csr.data) ** 2
         return np.sqrt(np.bincount(self._csr.indices, weights=sq, minlength=self.domain.size))
 
-    def sigma_max(self, dense_limit: int = 1_500_000) -> float:
-        """Largest singular value; dense below dense_limit cells, else a
-        deterministic ARPACK run on the sparse matrix."""
-        rows, cols = self.shape
-        if rows == 0 or cols == 0 or not self.nnz:
-            return 0.0
-        if rows * cols <= dense_limit:
-            return float(np.linalg.svd(self.toarray(), compute_uv=False)[0])
-        from scipy.sparse.linalg import svds
-
-        v0 = np.ones(min(rows, cols)) / np.sqrt(min(rows, cols))
-        s = svds(self.to_csr(), k=1, v0=v0, maxiter=5000, return_singular_vectors=False)
-        return float(s[0])
+    def sigma_max(self) -> float:
+        """Largest singular value of an odometer map or of its row
+        restriction, read off the carry/chain core (carry_singular_values);
+        raises ValueError when the carry structure is absent."""
+        s, ones = carry_singular_values(self)
+        return max(float(s[0]) if s.size else 0.0, 1.0 if ones else 0.0)
 
     def __repr__(self):
         return "FockOperator(shape=%r, nnz=%d)" % (self.shape, self.nnz)
@@ -208,6 +206,43 @@ class FockOperator:
 def _operator(domain, codomain, matrix) -> FockOperator:
     # matrix is computed here, so it is made canonical in place, not copied
     return FockOperator(domain, codomain, EntryView(_canonical(matrix, (codomain.size, domain.size))))
+
+
+def carry_singular_values(w: FockOperator):
+    """Singular values of an odometer map from its carry/chain core.
+
+    Reads only the stored matrix.  It first certifies the carry: every
+    N-sector column holds exactly one entry, equal to 1, and no two share
+    a row (ValueError otherwise).  With X the chain columns on the rows
+    the carry hits and Z the chain columns on their other nonzero rows,
+    X = Q R_X and Z = Q' R_Z give the same singular values as the map,
+    apart from exact ones: those of [[I, R_X], [0, R_Z]], at most 2k x 2k
+    for k chain columns.  Returns (values, ones): the core's values,
+    descending, padded with the zeros the dropped rows stand for, and the
+    number of further singular values equal to 1.
+    """
+    carry = SubspaceSelector.N.mask(w.domain)
+    if carry.size != w.shape[1]:
+        raise ValueError("domain %r is not a full Fock basis" % (w.domain,))
+    csc = w.to_csr().tocsc()
+    if np.any(np.diff(csc.indptr)[carry] != 1):
+        raise ValueError("carry columns are not single entries")
+    first = csc.indptr[:-1][carry]
+    hit = csc.indices[first]
+    if np.any(csc.data[first] != 1) or np.unique(hit).size != hit.size:
+        raise ValueError("carry columns are not distinct unit columns")
+    chain = csc[:, ~carry].tocsr()
+    nonzero = np.flatnonzero(np.diff(chain.indptr))
+    on_carry = np.isin(nonzero, hit)
+    r_x, r_z = (np.linalg.qr(chain[rows].toarray(), mode="r") for rows in (nonzero[on_carry], nonzero[~on_carry]))
+    a, b = r_x.shape[0], r_z.shape[0]
+    core = np.zeros((a + b, a + chain.shape[1]), dtype=complex)
+    core[:a, :a] = np.eye(a)
+    core[:a, a:] = r_x
+    core[a:, a:] = r_z
+    values = np.linalg.svd(core, compute_uv=False)
+    ones = hit.size - a
+    return np.concatenate([values, np.zeros(min(w.shape) - ones - values.size)]), ones
 
 
 def _slots(positions, d: int) -> np.ndarray:
