@@ -75,11 +75,15 @@ class DefectBasis:
     every shift.  Columns of el_basis span the orthocomplement of the
     shifted range (shifts p >= 1); columns of defect_basis also quotient
     out the range itself (shifts p >= 0), which is the adjoint kernel in
-    general.  el_minus_range_dim is the literal orthogonal difference,
-    which only has to match defect_dim when the map is isometric.
+    general.  Each comes from one full SVD of its column block.
+    el_minus_range_dim is the literal orthogonal difference, the rank of
+    the range projected onto el_basis (a value-only SVD), which only has
+    to match defect_dim when the map is isometric.
     The analytic side (route two) is stacked_matrix, the adjoint T_Theta*
     of the block Toeplitz truncation of the symbol; stacked_kernel_dim
-    recomputes the defect dimension as its kernel dimension.
+    recomputes the defect dimension as its kernel dimension (a value-only
+    SVD).  el_dim minus d is the defect dimension one depth below, which
+    defect_with_stability reads.
     """
 
     depth: int
@@ -151,12 +155,23 @@ def defect(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> DefectBasis
 
 
 def defect_with_stability(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
-    """Defect at the requested depth plus the one-step stability flag."""
+    """Defect at the requested depth plus the one-step stability flag.
+
+    Returns (defect(sym, depth), whether its dim equals the dim one depth
+    below, that dim).  The depth - 1 dimension comes from the same pass:
+    the shifted columns (p >= 1) at depth D are the whole depth D - 1
+    chain sector moved down one degree, with zero degree-0 rows, so E_L at
+    depth D is the d degree-0 slots plus the depth D - 1 defect space, and
+    the lower dim is el_dim - d.  The full SVD behind el_basis feeds the
+    depth D - 1 dim; the one behind defect_basis feeds the depth-D dim.
+    """
     if depth < 1:
         raise ValueError("stability heuristic needs depth >= 1")
     here = defect(sym, depth, tol)
-    below = defect(sym, depth - 1, tol)
-    return here, here.dim == below.dim, below.dim
+    # _chain_sector(sym, D)[d:, d:] == _chain_sector(sym, D - 1) entry for
+    # entry and its top d rows vanish: E_L(D) = degree-0 slots + defect(D - 1)
+    below = here.el_dim - sym.d
+    return here, here.dim == below, below
 
 
 def fredholm_index(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
@@ -181,14 +196,19 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     """(shift multiplicity of the map, shift multiplicity of its analytic
     symbol), each from its own side of the unitary equivalence.
 
-    The map side is the defect dimension of the operator-side route.  The
-    symbol side counts low-degree kernel vectors of the transposed
-    Toeplitz truncation; the degree cut depth - K leaves a buffer of K
-    degrees so the count is an exact reduction, not a heuristic.
+    The map side is the defect dimension of the operator-side route, from
+    the one chain-sector pass of defect_with_stability (its stability
+    flag comes from the same pass).  The symbol side counts the kernel of
+    T_Theta* on degrees <= depth - K with one value-only SVD; that cut
+    keeps every image degree inside the truncation, so the kernel found
+    is exactly the model space H^2 minus Theta H^2 cut to those degrees.
+    For an inner polynomial Theta of degree K the model space lies in
+    degrees < K, so the count is complete only from depth 2K - 1 on, and
+    lower depths raise ValueError.
     """
     _require_isometric(sym, tol)
-    if depth < sym.K:
-        raise ValueError("depth %d below symbol depth %d" % (depth, sym.K))
+    if depth < 2 * sym.K - 1:
+        raise ValueError("depth %d below 2K - 1 = %d for symbol depth %d" % (depth, 2 * sym.K - 1, sym.K))
     here, stable, below = defect_with_stability(sym, depth, tol)
     if not stable:
         raise DefectUnstable(
@@ -233,14 +253,18 @@ def norm_report(
     be distinct unit columns before the core is formed, so the value is
     an exact reduction, not an iterate.
     """
-    w = build_wl(sym, depth)
+    return _norm_report(sym, build_wl(sym, depth), grid, tol)
+
+
+def _norm_report(sym: Symbol, w: FockOperator, grid: int, tol: Tolerance) -> NormReport:
+    # norm_report on a map already built, which classify shares
     sigma = w.sigma_max()
     lo, hi = sup_norm(sym.theta(), grid)
     applicable = sym.m_mass() <= tol.eps_exact
     formula = max(1.0, hi) if applicable else None
     sigma_l = operator_norm(sym.matrix())
     return NormReport(
-        depth=depth,
+        depth=w.domain.depth,
         sigma_max=sigma,
         bracket_lower=lo,
         bracket_upper=hi,
@@ -414,9 +438,8 @@ def hyponormality_probe(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -
     )
 
 
-def _square_sigma_min(sym: Symbol, depth: int) -> float:
+def _square_sigma_min(w: FockOperator) -> float:
     # smallest singular value of the square compression, from the carry core
-    w = build_wl(sym, depth)
     s, ones = carry_singular_values(w.restrict_rows(w.domain.size))
     return float(min(s[-1], 1.0) if ones else s[-1])
 
@@ -505,6 +528,7 @@ def classify(
     )
     unitary = unitary_dev <= tol.eps_exact
 
+    w = build_wl(sym, depth)
     invertible = None
     sigma_min_square = None
     if invertibility:
@@ -512,7 +536,8 @@ def classify(
             invertible = is_invertible_hinf(sym.theta(), grid)
         except IdenticallySingular:
             invertible = False
-        sigma_min_square = {dd: _square_sigma_min(sym, dd) for dd in (depth - 1, depth) if dd >= 0}
+        sigma_min_square = {dd: _square_sigma_min(w if dd == depth else build_wl(sym, dd))
+                            for dd in (depth - 1, depth) if dd >= 0}
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     defect_dim = basis_defect.dim if isometric else None
@@ -521,10 +546,10 @@ def classify(
     mult_mtheta = None
     if isometric and stable:
         fredholm = -basis_defect.dim
-        if depth >= sym.K:
+        if depth >= 2 * sym.K - 1:  # the floor of wold_multiplicity
             mult_wl, mult_mtheta = basis_defect.dim, _mtheta_multiplicity(sym, depth, tol)
 
-    norm = norm_report(sym, depth, grid, tol)
+    norm = _norm_report(sym, w, grid, tol)
 
     hypo_necessary = None
     hypo_gap = None

@@ -148,6 +148,21 @@ def test_defect_stability_flags():
     assert here.dim == below_dim + 1
 
 
+def test_defect_with_stability_runs_one_defect_pass(monkeypatch):
+    # the depth - 1 dimension is read off the depth-D pass, not recomputed
+    calls = []
+    original = analysis.defect
+
+    def counted(sym, depth, tol=analysis.DEFAULT_TOL):
+        calls.append(depth)
+        return original(sym, depth, tol)
+
+    monkeypatch.setattr(analysis, "defect", counted)
+    here, stable, below = defect_with_stability(shift_like(2, d=2), 5)
+    assert calls == [5]
+    assert (here.dim, stable, below) == (4, True, 4)
+
+
 def test_fredholm_index_values():
     assert fredholm_index(shift_like(1), 5) == -1
     assert fredholm_index(shift_like(3, d=2), 5) == -6
@@ -173,6 +188,25 @@ def test_wold_multiplicity_matches_defect():
         assert mult_wl == defect(sym, 5).dim
     with pytest.raises(NotIsometric):
         wold_multiplicity(hypo_like(), 5)
+
+
+def test_wold_multiplicity_needs_depth_2k_minus_1():
+    # the model space of an inner Theta of degree K lies in degrees < K,
+    # and the symbol side sees degrees <= depth - K: short below 2K - 1
+    u, v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    mixed = Symbol(1, 2, {
+        (((1,) * r), s + 1, q + 1): (u @ np.diag([r == 1, r == 2]) @ v)[s, q]
+        for r in (1, 2) for s in range(2) for q in range(2)
+    })
+    for sym, mult in ((shift_like(2, n=1), 2), (mixed, 3)):
+        with pytest.raises(ValueError, match="2K - 1"):
+            wold_multiplicity(sym, 2)
+        assert wold_multiplicity(sym, 3) == (mult, mult)
+        shallow = classify(sym, 2, invertibility=False)
+        assert shallow.mult_wl is None and shallow.mult_mtheta is None
+        assert shallow.fredholm == -mult
+        deep = classify(sym, 3, invertibility=False)
+        assert deep.mult_wl == deep.mult_mtheta == mult
 
 
 def test_norm_report_interior_free():
@@ -343,6 +377,23 @@ def test_classify_depth_zero():
     assert rep.isometric
     assert rep.mult_wl == rep.mult_mtheta == 0
     assert rep.fredholm == 0
+
+
+def test_classify_builds_each_depth_once(monkeypatch):
+    # sigma_min_square and the norm share the depth-D map; the hyponormality
+    # probe builds its own at min(depth, 4)
+    calls = []
+    original = analysis.build_wl
+
+    def counted(sym, depth, *args, **kwargs):
+        calls.append(depth)
+        return original(sym, depth, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_wl", counted)
+    sym = shift_like(1)
+    rep = classify(sym, 6)
+    assert sorted(calls) == [4, 5, 6]
+    assert rep.norm == norm_report(sym, 6)
 
 
 def test_classify_runs_the_defect_once(monkeypatch):

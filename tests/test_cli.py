@@ -59,6 +59,15 @@ def test_classify_depth_zero_succeeds(capsys):
     assert report["mult_wl"] == report["mult_mtheta"] == 0
 
 
+def test_classify_leaves_wold_open_below_2k_minus_1(capsys):
+    # shift by z^2: the symbol-side count is short at depth 2, so no pair
+    code, out = run(capsys, "classify", "--gallery", "shift", "--param", "k=2", "--param", "n=1", "--depth", "2")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["mult_wl"] is None and report["mult_mtheta"] is None
+    assert report["fredholm_index"] == -2
+
+
 def test_gallery_build_classify_round_trip(capsys, tmp_path):
     path = str(tmp_path / "shift.json")
     code, _out = run(capsys, "gallery", "build", "shift", "--param", "k=1", "--out", path)

@@ -1,11 +1,13 @@
-"""Property tests of the spectral routes over random symbols.
+"""Property tests of the spectral and chain-sector routes over random symbols.
 
 Symbols use words up to length 3 with n and d from 1 to 3.  Route one
 (the carry/chain core) must reproduce the extreme singular values of the
 map and of its square compression; route two (the certified sparse Coburn
 floor) must reproduce the smallest singular value of W - lambda I on
 random inner symbols away from the circle.  Both are checked against a
-dense SVD of the whole map.
+dense SVD of the whole map.  The one-pass stability check of
+defect_with_stability is checked against two defect passes, and the Wold
+pair and Fredholm index against the closed form on inner symbols.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from odolab import fock
-from odolab.analysis import _square_sigma_min, coburn_bound
+from odolab.analysis import (
+    _square_sigma_min, coburn_bound, defect, defect_with_stability, fredholm_index, wold_multiplicity,
+)
 from odolab.operator import build_wl, carry_singular_values
 from odolab.symbol import Symbol
 
@@ -38,8 +42,9 @@ def unitary(elements, d):
 
 
 @st.composite
-def inner_symbols(draw):
-    # Theta(z) = U diag(z^k_1, ..., z^k_d) V on the 1-chain: inner, isometric map
+def inner_cases(draw):
+    # Theta(z) = U diag(z^k_1, ..., z^k_d) V on the 1-chain: inner, isometric
+    # map with defect, multiplicity and minus the index all sum(ks)
     n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     ks = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
     u = unitary(draw(st.lists(FINITE, min_size=2 * d * d, max_size=2 * d * d)), d)
@@ -51,7 +56,18 @@ def inner_symbols(draw):
             for q in range(d):
                 if theta_r[s, q] != 0:
                     entries[((1,) * r, s + 1, q + 1)] = complex(theta_r[s, q])
-    return Symbol(n, d, entries)
+    return Symbol(n, d, entries), sum(ks)
+
+
+def inner_symbols():
+    return inner_cases().map(lambda case: case[0])
+
+
+@st.composite
+def z_minus_a(draw):
+    # Theta(z) = z - a with |a| near 1: ill-conditioned chain sector
+    a = draw(st.floats(0.9, 1.1)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    return Symbol(1, 1, {((1,), 1, 1): 1.0, ((), 1, 1): -a})
 
 
 def depth_for(sym, cells):
@@ -78,7 +94,7 @@ def test_core_extremes_match_dense_svd(sym, want_depth):
         assert abs(full.min() - dense[-1]) <= scale
         assert abs(op.sigma_max() - dense[0]) <= scale
     # classify's sigma_min_square reads the same square floor
-    assert abs(_square_sigma_min(sym, depth) - dense[-1]) <= scale
+    assert abs(_square_sigma_min(w) - dense[-1]) <= scale
 
 
 @SETTINGS
@@ -92,3 +108,31 @@ def test_coburn_floor_matches_dense_svd(sym, radius, angle, want_depth):
     assert abs(point.sigma_min - dense) <= 1e-12
     assert point.lower <= dense + 1e-15
     assert point.sigma_min >= point.floor - 1e-10
+
+
+def projector(basis):
+    return basis @ basis.conj().T
+
+
+@SETTINGS
+@given(st.one_of(symbols(), z_minus_a()), st.integers(1, 40))
+def test_stability_matches_two_defect_passes(sym, want_depth):
+    # reference: the defect recomputed one depth below
+    depth = min(want_depth, 60 // sym.d)
+    here, stable, below = defect_with_stability(sym, depth)
+    ref_here, ref_below = defect(sym, depth), defect(sym, depth - 1)
+    assert (here.dim, stable, below) == (ref_here.dim, ref_here.dim == ref_below.dim, ref_below.dim)
+    # E_L at depth D is the degree-0 slots plus the depth D - 1 defect space
+    lifted = np.zeros((here.el_basis.shape[0], sym.d + ref_below.dim), dtype=complex)
+    lifted[: sym.d, : sym.d] = np.eye(sym.d)
+    lifted[sym.d:, sym.d:] = ref_below.defect_basis
+    assert np.max(np.abs(projector(here.el_basis) - projector(lifted))) <= 1e-8
+
+
+@SETTINGS
+@given(inner_cases(), st.integers(0, 4))
+def test_wold_and_index_on_inner_symbols(case, extra):
+    sym, total = case
+    depth = max(1, 2 * sym.K - 1) + extra
+    assert wold_multiplicity(sym, depth) == (total, total)
+    assert fredholm_index(sym, depth) == -total
