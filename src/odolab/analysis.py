@@ -177,9 +177,10 @@ def defect_with_stability(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL)
 def fredholm_index(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     """Index of the isometric odometer map, or None when the defect has
     not stabilized at this depth (the map is then not certified Fredholm).
+    Depth 0 runs the stability pass at depth 1, as classify does.
     """
     _require_isometric(sym, tol)
-    here, stable, _ = defect_with_stability(sym, depth, tol)
+    here, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     if not stable:
         return None
     return -here.dim
@@ -204,12 +205,13 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     is exactly the model space H^2 minus Theta H^2 cut to those degrees.
     For an inner polynomial Theta of degree K the model space lies in
     degrees < K, so the count is complete only from depth 2K - 1 on, and
-    lower depths raise ValueError.
+    lower depths raise ValueError.  Depth 0 (reachable only at K = 0) runs
+    the stability pass at depth 1, as classify does.
     """
     _require_isometric(sym, tol)
     if depth < 2 * sym.K - 1:
         raise ValueError("depth %d below 2K - 1 = %d for symbol depth %d" % (depth, 2 * sym.K - 1, sym.K))
-    here, stable, below = defect_with_stability(sym, depth, tol)
+    here, stable, below = defect_with_stability(sym, max(depth, 1), tol)
     if not stable:
         raise DefectUnstable(
             "defect dimension moved %d -> %d between depths" % (below, here.dim)
@@ -374,10 +376,17 @@ def coburn_bound(
     lambda times itself than the triangle inequality allows.
 
     Route: numerics.sparse_sigma_min on the sparse W - lambda I, which
-    never densifies the map.  Each point carries its certificate: lower
-    is a bound no singular value goes below (inertia of the Gram matrix)
-    and residual the Ritz residual; a failed certificate or a solver that
-    does not converge raises SpectralUncertified.
+    never densifies the map.  The floor is passed as its hint: the
+    shift-invert shift sits at (1 - |lambda|)^2 just below the bottom of
+    the Gram spectrum, whose carry paths cluster right above it, and
+    ARPACK stops at the certificate's own residual bound (see
+    sparse_sigma_min).  For |lambda| >= 1 the hint is 0 and the shift
+    stays below zero.  Each point carries its certificate: lower is a
+    bound no singular value goes below (inertia of the Gram matrix) and
+    residual the Ritz residual; neither reads the hint, so a floor that
+    fails to hold costs a refusal, not a wrong value.  A failed
+    certificate or a solver that does not converge raises
+    SpectralUncertified.
     """
     _require_isometric(sym, tol)
     w = build_wl(sym, depth)
@@ -385,8 +394,9 @@ def coburn_bound(
     out = []
     for lam in lambdas:
         lam = complex(lam)
-        cert = sparse_sigma_min(a - lam * inc, tol)
-        out.append(CoburnPoint(lam, cert.value, 1.0 - abs(lam), cert.lower, cert.residual))
+        floor = 1.0 - abs(lam)
+        cert = sparse_sigma_min(a - lam * inc, tol, floor)
+        out.append(CoburnPoint(lam, cert.value, floor, cert.lower, cert.residual))
     return out
 
 
@@ -419,11 +429,15 @@ def hyponormality_probe(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -
     """
     if sym.n < 2:
         raise ValueError("the expansivity obstruction needs n >= 2")
+    return _hyponormality_probe(sym, build_wl(sym, depth), tol)
+
+
+def _hyponormality_probe(sym: Symbol, w: FockOperator, tol: Tolerance) -> HypoProbe:
+    # hyponormality_probe on a map already built, which classify shares
     sigma_min_l = sigma_min(sym.matrix())
     necessary = sigma_min_l >= 1.0 - tol.eps_exact
 
-    w = build_wl(sym, depth)
-    star = build_wl_adjoint(sym, depth)
+    star = build_wl_adjoint(sym, w.domain.depth)
     fwd = w.column_norms()
     back = star.column_norms()
     gaps = back**2 - fwd**2
@@ -528,7 +542,10 @@ def classify(
     )
     unitary = unitary_dev <= tol.eps_exact
 
+    # each map is built once: depth D (norm, square floor), D - 1 (square
+    # floor) and min(D, 4) (hyponormality) share one table
     w = build_wl(sym, depth)
+    maps = {depth: w}
     invertible = None
     sigma_min_square = None
     if invertibility:
@@ -536,8 +553,9 @@ def classify(
             invertible = is_invertible_hinf(sym.theta(), grid)
         except IdenticallySingular:
             invertible = False
-        sigma_min_square = {dd: _square_sigma_min(w if dd == depth else build_wl(sym, dd))
-                            for dd in (depth - 1, depth) if dd >= 0}
+        if depth >= 1:
+            maps[depth - 1] = build_wl(sym, depth - 1)
+        sigma_min_square = {dd: _square_sigma_min(maps[dd]) for dd in (depth - 1, depth) if dd >= 0}
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     defect_dim = basis_defect.dim if isometric else None
@@ -554,7 +572,9 @@ def classify(
     hypo_necessary = None
     hypo_gap = None
     if sym.n >= 2:
-        probe = hyponormality_probe(sym, min(depth, 4), tol)
+        probe_depth = min(depth, 4)
+        probe_map = maps[probe_depth] if probe_depth in maps else build_wl(sym, probe_depth)
+        probe = _hyponormality_probe(sym, probe_map, tol)
         hypo_necessary = probe.necessary_condition
         hypo_gap = probe.witness_gap
 

@@ -83,18 +83,43 @@ class SparseFloor:
     residual: float
 
 
-def sparse_sigma_min(a, tol: Tolerance = DEFAULT_TOL) -> SparseFloor:
+def sparse_sigma_min(a, tol: Tolerance = DEFAULT_TOL, floor: float = 0.0) -> SparseFloor:
     """Certified smallest singular value of a sparse matrix, never densified.
 
-    ARPACK finds the smallest eigenvalue of G = a* a in shift-invert mode
-    at the negative shift GRAM_SHIFT, so G - shift I stays positive
-    definite even when a is singular; theta is the Rayleigh quotient of
-    the Ritz vector.  With delta = eps_exact times a norm bound of G, the
-    residual must stay below delta, and an unpivoted symmetric LU of
-    G - (theta - delta) I (perm_r == perm_c) must have only positive
-    pivots: by Sylvester's law of inertia no eigenvalue of G lies below
-    theta - delta.  A failed check or a solver failure raises
-    SpectralUncertified.
+    ARPACK finds the smallest eigenvalue of G = a* a in shift-invert mode;
+    theta is the Rayleigh quotient of the Ritz vector.  floor is a hint
+    that no singular value of a lies below it (Coburn's 1 - |lambda| for
+    an isometry minus lambda).  The shift is max(floor, 0)^2 + GRAM_SHIFT,
+    just below the hinted bottom of the spectrum of G, so shift-invert
+    separates the wanted eigenvalue from a cluster right above it.  With
+    the default floor 0 the shift is GRAM_SHIFT < 0, below the spectrum of
+    the positive semidefinite G even when a is singular.
+
+    Stopping rule: ARPACK stops at tol = eps_exact / 2 rather than at
+    machine precision.  In shift-invert mode it accepts a Ritz pair
+    (nu, x) of OP = (G - shift I)^-1 once ||OP x - nu x|| <= tol |nu|;
+    multiplying by G - shift I gives ||G x - (shift + 1/nu) x|| <=
+    tol ||G - shift I||.  With the shift below the spectrum,
+    ||G - shift I|| is at most ||G|| - GRAM_SHIFT, so that bound is below
+    delta, the residual the certificate checks; the Rayleigh quotient
+    theta only lowers it.
+
+    Certificate: with delta = eps_exact times a norm bound of G (its
+    largest column sum), the residual must stay below delta, and an
+    unpivoted symmetric LU of G - (theta - delta) I (perm_r == perm_c)
+    must have only positive pivots: by Sylvester's law of inertia no
+    eigenvalue of G lies below theta - delta, which gives lower.  A failed
+    check or a solver failure raises SpectralUncertified.  Neither check
+    reads the hint, so a wrong floor can cost a refusal, never a wrong
+    value.
+
+    Accuracy: the early stop leaves theta off the bottom eigenvalue by up
+    to about tol (theta - shift) inside a tight cluster.  When the shift
+    did not land within 2 |GRAM_SHIFT| below theta - delta (the hint was
+    too low, or above the spectrum), the solve is repeated once from
+    theta - delta itself, which the inertia check has placed below the
+    spectrum and within delta of its bottom; it reuses that LU and its
+    residual is checked the same way.
     """
     from scipy import sparse
     from scipy.sparse import linalg  # lazy: adds about 0.13 s to import odolab
@@ -102,26 +127,40 @@ def sparse_sigma_min(a, tol: Tolerance = DEFAULT_TOL) -> SparseFloor:
     g = sparse.csc_matrix(a.conj().T @ a)
     size = g.shape[0]
     delta = tol.eps_exact * max(1.0, float(abs(g).sum(axis=0).max()))
+    shift = max(floor, 0.0) ** 2 + GRAM_SHIFT
+    v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
     try:
-        if size <= 2:  # ARPACK needs k < size - 1
-            vecs = np.linalg.eigh(g.toarray())[1]
-        else:
-            v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
-            vecs = linalg.eigsh(g, k=1, sigma=GRAM_SHIFT, which="LM", v0=v0)[1]
-        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        gx = g @ x
-        theta = float(np.vdot(x, gx).real)
-        residual = float(np.linalg.norm(gx - theta * x))
-        shifted = sparse.csc_matrix(g - (theta - delta) * sparse.identity(size))
-        lu = linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+        x, theta, residual = _bottom_pair(g, shift, v0, tol, delta)
+        lower = theta - delta
+        lu = linalg.splu(sparse.csc_matrix(g - lower * sparse.identity(size)), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
+            raise SpectralUncertified("inertia check failed below %.6e" % lower)
+        if not 0.0 < lower - shift <= -2 * GRAM_SHIFT:
+            opinv = linalg.LinearOperator(g.shape, matvec=lu.solve, dtype=complex)
+            x, theta, residual = _bottom_pair(g, lower, x, tol, delta, opinv)
     except RuntimeError as exc:  # ArpackNoConvergence, ArpackError, singular factor
         raise SpectralUncertified("sparse eigensolver failed: %s" % exc) from exc
+    return SparseFloor(float(np.sqrt(max(theta, 0.0))), float(np.sqrt(max(lower, 0.0))), residual)
+
+
+def _bottom_pair(g, shift, v0, tol, delta, opinv=None):
+    # unit Ritz vector of G nearest the shift, its Rayleigh quotient and its
+    # residual, which must stay below delta; a Gram matrix of size <= 2 is
+    # below what ARPACK accepts for k = 1 and is solved exactly
+    from scipy.sparse import linalg
+
+    if g.shape[0] <= 2:
+        vec = np.linalg.eigh(g.toarray())[1][:, 0]
+    else:
+        vec = linalg.eigsh(g, k=1, sigma=shift, which="LM", v0=v0, tol=tol.eps_exact / 2, OPinv=opinv)[1][:, 0]
+    x = vec / np.linalg.norm(vec)
+    gx = g @ x
+    theta = float(np.vdot(x, gx).real)
+    residual = float(np.linalg.norm(gx - theta * x))
     if residual > delta:
         raise SpectralUncertified("Ritz residual %.3e > %.3e" % (residual, delta))
-    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
-        raise SpectralUncertified("inertia check failed below %.6e" % (theta - delta))
-    return SparseFloor(float(np.sqrt(max(theta, 0.0))), float(np.sqrt(max(theta - delta, 0.0))), residual)
+    return x, theta, residual
 
 
 def _rank_cut(s: np.ndarray, tol: Tolerance) -> int:

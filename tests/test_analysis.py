@@ -396,6 +396,43 @@ def test_classify_builds_each_depth_once(monkeypatch):
     assert rep.norm == norm_report(sym, 6)
 
 
+def test_classify_shares_its_maps_with_the_hyponormality_probe(monkeypatch):
+    # the probe reads the depth-D or depth D - 1 map classify already built
+    calls = []
+    original = analysis.build_wl
+
+    def counted(sym, depth, *args, **kwargs):
+        calls.append(depth)
+        return original(sym, depth, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_wl", counted)
+    sym = shift_like(1)
+    for depth, built in ((4, [4, 3]), (5, [5, 4]), (2, [2, 1])):
+        calls.clear()
+        rep = classify(sym, depth)
+        assert calls == built
+        assert rep.hypo_gap == hyponormality_probe(sym, min(depth, 4)).witness_gap
+    calls.clear()
+    rep = classify(hypo_like(), 3, invertibility=False)
+    assert calls == [3]
+    assert rep.hypo_gap == hyponormality_probe(hypo_like(), 3).witness_gap
+
+
+def test_depth_zero_counts_agree_with_classify():
+    # the stability pass runs at depth 1 for depth 0, as in classify
+    vacuum = Symbol(2, 1, {((), 1, 1): 1.0})
+    assert wold_multiplicity(vacuum, 0) == (0, 0)
+    assert fredholm_index(vacuum, 0) == 0
+    rep = classify(vacuum, 0)
+    assert (rep.mult_wl, rep.mult_mtheta, rep.fredholm) == (0, 0, 0)
+    # a K = 1 shift at depth 0 is still below the 2K - 1 floor
+    with pytest.raises(ValueError, match="2K - 1"):
+        wold_multiplicity(shift_like(1), 0)
+    shallow = classify(shift_like(1), 0)
+    assert shallow.mult_wl is None and shallow.mult_mtheta is None
+    assert fredholm_index(shift_like(1), 0) == shallow.fredholm
+
+
 def test_classify_runs_the_defect_once(monkeypatch):
     # one defect pass on the operator side, one M_Theta count on the
     # analytic side; the Wold pair compares the two

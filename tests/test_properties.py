@@ -5,7 +5,9 @@ Symbols use words up to length 3 with n and d from 1 to 3.  Route one
 map and of its square compression; route two (the certified sparse Coburn
 floor) must reproduce the smallest singular value of W - lambda I on
 random inner symbols away from the circle.  Both are checked against a
-dense SVD of the whole map.  The one-pass stability check of
+dense SVD of the whole map, also when its shift hint is wrong.  The
+forward build's conjugate transpose must equal the closed-form adjoint
+build.  The one-pass stability check of
 defect_with_stability is checked against two defect passes, and the Wold
 pair and Fredholm index against the closed form on inner symbols.
 """
@@ -18,7 +20,9 @@ from odolab import fock
 from odolab.analysis import (
     _square_sigma_min, coburn_bound, defect, defect_with_stability, fredholm_index, wold_multiplicity,
 )
-from odolab.operator import build_wl, carry_singular_values
+from odolab.errors import SpectralUncertified
+from odolab.numerics import sparse_sigma_min
+from odolab.operator import build_wl, build_wl_adjoint, carry_singular_values, inclusion
 from odolab.symbol import Symbol
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -108,6 +112,32 @@ def test_coburn_floor_matches_dense_svd(sym, radius, angle, want_depth):
     assert abs(point.sigma_min - dense) <= 1e-12
     assert point.lower <= dense + 1e-15
     assert point.sigma_min >= point.floor - 1e-10
+
+
+@SETTINGS
+@given(inner_symbols(), st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi), st.floats(0.0, 2.0), st.integers(0, 6))
+def test_sparse_floor_with_any_hint_matches_dense_or_refuses(sym, radius, angle, hint, want_depth):
+    # the hint only places the shift: a wrong one may refuse, never mislead
+    lam = radius * np.exp(1j * angle)
+    depth = min(want_depth, depth_for(sym, 300_000))
+    w = build_wl(sym, depth)
+    dense = np.linalg.svd(w.toarray() - lam * np.eye(*w.shape), compute_uv=False)[-1]
+    try:
+        floor = sparse_sigma_min(w.to_csr() - lam * inclusion(w).to_csr(), floor=hint)
+    except SpectralUncertified:
+        return
+    assert abs(floor.value - dense) <= 1e-12
+    assert floor.lower <= dense + 1e-15
+
+
+@SETTINGS
+@given(symbols(), st.integers(0, 4))
+def test_adjoint_build_is_the_conjugate_transpose(sym, want_depth):
+    # W_L* from the paper's formula, restricted to the domain rows
+    depth = min(want_depth, depth_for(sym, 400_000))
+    w = build_wl(sym, depth)
+    star = build_wl_adjoint(sym, depth + sym.K).restrict_rows(w.domain.size)
+    assert np.max(np.abs(w.toarray().conj().T - star.toarray()), initial=0.0) <= 1e-12
 
 
 def projector(basis):

@@ -1,6 +1,7 @@
 """The spectral layer: the carry/chain core (route one) behind sigma_max and
 classify's sigma_min_square, and the certified sparse Coburn floor (route
-two) behind coburn_bound."""
+two) behind coburn_bound, whose shift-invert solve is shifted to the
+floor (1 - |lambda|)^2 and stopped at the certificate's residual bound."""
 
 import json
 
@@ -167,3 +168,65 @@ def test_sparse_floor_below_arpack_size():
     floor = numerics.sparse_sigma_min(sparse.csr_matrix(np.array([[3.0, 0.0], [0.0, 0.5], [0.0, 0.0]])))
     assert floor.value == pytest.approx(0.5, abs=1e-15)
     assert floor.lower <= floor.value
+
+
+def test_coburn_certifies_degenerate_cluster():
+    # the Gram spectrum of diagonal d = 3 clusters just above 0.01; a shift
+    # at -1e-3 with a machine-precision stop ran out of iterations here
+    sym = build_entry("diagonal", d=3, n=2).symbol
+    (point,) = coburn_bound(sym, 8, (0.9j,))
+    assert point.floor == pytest.approx(0.1, abs=1e-15)
+    assert point.lower <= point.sigma_min
+    assert point.sigma_min >= point.floor - 1e-10
+
+
+def test_cli_coburn_certifies_degenerate_cluster(capsys):
+    code = main(["coburn", "--gallery", "diagonal", "--param", "d=3", "--param", "n=2",
+                 "--depth", "8", "--at", "0.9j"])
+    assert code == 0
+    (point,) = json.loads(capsys.readouterr().out)["report"]
+    assert point["sigma_min"] >= point["floor"] - 1e-10
+
+
+def test_coburn_shifts_to_the_floor_and_stops_at_the_certificate(monkeypatch):
+    # the first eigsh call of each point is shifted to max(1 - |lambda|, 0)^2
+    # + GRAM_SHIFT; every call stops at eps_exact / 2
+    seen = []
+    real = sparse_linalg.eigsh
+
+    def recording(g, k, **kwargs):
+        seen.append((kwargs["sigma"], kwargs["tol"]))
+        return real(g, k, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", recording)
+    tol = numerics.Tolerance(eps_exact=1e-11)
+    sym = build_entry("shift").symbol
+    for lam in (0.0, 0.3, 0.6j, -0.99, 0.999, 1.0, 1j, -1.5):
+        seen.clear()
+        (point,) = coburn_bound(sym, 5, (lam,), tol)
+        assert seen[0] == (max(1 - abs(lam), 0) ** 2 + numerics.GRAM_SHIFT, tol.eps_exact / 2)
+        assert all(call_tol == tol.eps_exact / 2 for _, call_tol in seen)
+        assert point.lower <= point.sigma_min
+
+
+def test_sparse_floor_repeats_from_the_certified_floor_after_a_low_hint(monkeypatch):
+    # W - lambda for a tiny lambda: the Gram spectrum is a cluster of width
+    # 4 |lambda| near 1, far above the default shift, and the early stop
+    # alone misses its bottom by about 8e-12; the repeat from theta - delta
+    # (the certified floor, within delta of the bottom) resolves it
+    seen = []
+    real = sparse_linalg.eigsh
+
+    def recording(g, k, **kwargs):
+        seen.append(kwargs["sigma"])
+        return real(g, k, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", recording)
+    w = build_wl(build_entry("shift").symbol, 5)
+    lam = 3e-9
+    floor = numerics.sparse_sigma_min(w.to_csr() - lam * analysis.inclusion(w).to_csr())
+    dense = np.linalg.svd(w.toarray() - lam * np.eye(*w.shape), compute_uv=False)[-1]
+    assert seen[0] == numerics.GRAM_SHIFT
+    assert len(seen) == 2 and seen[1] == pytest.approx(floor.lower**2, abs=1e-12)
+    assert abs(floor.value - dense) <= 1e-12
+    assert floor.lower <= dense + 1e-15
