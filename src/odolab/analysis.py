@@ -36,7 +36,6 @@ from .operator import (
     build_wl_adjoint,
     carry_singular_values,
     inclusion,
-    square_compression,
     toeplitz_truncation,
 )
 from .symbol import (
@@ -186,11 +185,12 @@ def fredholm_index(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     return -here.dim
 
 
-def _mtheta_multiplicity(sym: Symbol, depth: int, tol: Tolerance) -> int:
-    # the symbol side of wold_multiplicity, see there
-    t = toeplitz_truncation(sym.theta(), depth + 1)
+def _mtheta_multiplicity(sym: Symbol, depth: int, basis: DefectBasis, tol: Tolerance) -> int:
+    # the symbol side of wold_multiplicity, see there; basis comes from a
+    # defect pass at depth >= this one, and the leading (depth + 1) d rows
+    # of its T_Theta* hold T_Theta* at this depth, cut to its columns
     keep_cols = (depth - sym.K + 1) * sym.d
-    return keep_cols - numerical_rank(t.conj().T[:, :keep_cols], tol)
+    return keep_cols - numerical_rank(basis.stacked_matrix[: (depth + 1) * sym.d, :keep_cols], tol)
 
 
 def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
@@ -200,9 +200,10 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
     The map side is the defect dimension of the operator-side route, from
     the one chain-sector pass of defect_with_stability (its stability
     flag comes from the same pass).  The symbol side counts the kernel of
-    T_Theta* on degrees <= depth - K with one value-only SVD; that cut
-    keeps every image degree inside the truncation, so the kernel found
-    is exactly the model space H^2 minus Theta H^2 cut to those degrees.
+    T_Theta*, read off that pass's stacked_matrix, on degrees <= depth - K
+    with one value-only SVD; that cut keeps every image degree inside the
+    truncation, so the kernel found is exactly the model space H^2 minus
+    Theta H^2 cut to those degrees.
     For an inner polynomial Theta of degree K the model space lies in
     degrees < K, so the count is complete only from depth 2K - 1 on, and
     lower depths raise ValueError.  Depth 0 (reachable only at K = 0) runs
@@ -216,7 +217,7 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
         raise DefectUnstable(
             "defect dimension moved %d -> %d between depths" % (below, here.dim)
         )
-    return here.dim, _mtheta_multiplicity(sym, depth, tol)
+    return here.dim, _mtheta_multiplicity(sym, depth, here, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def douglas_factor(
     l2: Symbol,
     depth: int,
     tol: Tolerance = DEFAULT_TOL,
-    grid: int = 128,
+    grid: int = DEFAULT_BOUNDARY_GRID,
 ) -> DouglasResult:
     """Solve L1 = L2 C and verify the induced factorization of the maps.
 
@@ -319,7 +320,8 @@ def douglas_factor(
     with Gamma_C acting as C level by level on the all-n chain and as
     the identity elsewhere; that product identity is verified on the
     truncation, along with the symbol-side identity Theta_1 = Theta_2 C
-    on a boundary grid when both symbols live on the 1-chain sector.
+    on a boundary grid of grid points when both symbols live on the
+    1-chain sector.
     """
     if l1.n != l2.n or l1.d != l2.d:
         raise ValueError("symbols must share alphabet and slot count")
@@ -340,12 +342,7 @@ def douglas_factor(
 
     theta_gap = None
     if l1.m_mass() <= tol.eps_exact and l2.m_mass() <= tol.eps_exact:
-        t1, t2 = l1.theta(), l2.theta()
-        worst = 0.0
-        for j in range(grid):
-            z = np.exp(2j * np.pi * j / grid)
-            worst = max(worst, float(np.max(np.abs(t1(z) - t2(z) @ c))))
-        theta_gap = worst
+        theta_gap = float(np.max(np.abs(l1.theta().eval_grid(grid) - l2.theta().eval_grid(grid) @ c)))
     return DouglasResult(factor=c, residual=residual, wl_gap=wl_gap, theta_gap=theta_gap)
 
 
@@ -458,17 +455,6 @@ def _square_sigma_min(w: FockOperator) -> float:
     return float(min(s[-1], 1.0) if ones else s[-1])
 
 
-def self_commutator_gap(sym: Symbol, depth: int) -> float:
-    """Largest eigenvalue of (W*W - WW*) on the square compression.
-
-    Slow corroboration for the witness search; boundary truncation makes
-    this a heuristic, not a certificate.
-    """
-    a = square_compression(build_wl(sym, depth))
-    comm = a.conj().T @ a - a @ a.conj().T
-    return float(np.max(np.linalg.eigvalsh(comm)))
-
-
 def defect_projection_rank(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of I - W W* compressed to the domain window.
 
@@ -476,7 +462,8 @@ def defect_projection_rank(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL
     dimension again (the compression of the defect projection), computed
     here from the forward build alone.
     """
-    rows = square_compression(build_wl(sym, depth))
+    w = build_wl(sym, depth)
+    rows = w.restrict_rows(w.domain.size).toarray()
     p = np.eye(rows.shape[0]) - rows @ rows.conj().T
     return numerical_rank(p, tol)
 
@@ -565,7 +552,7 @@ def classify(
     if isometric and stable:
         fredholm = -basis_defect.dim
         if depth >= 2 * sym.K - 1:  # the floor of wold_multiplicity
-            mult_wl, mult_mtheta = basis_defect.dim, _mtheta_multiplicity(sym, depth, tol)
+            mult_wl, mult_mtheta = basis_defect.dim, _mtheta_multiplicity(sym, depth, basis_defect, tol)
 
     norm = _norm_report(sym, w, grid, tol)
 

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .errors import CertificateError, OdolabError, RangeNotContained
 from .gallery import build_entry, gallery_names, GALLERY
-from .numerics import Tolerance
+from .numerics import DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK, Tolerance
 from .operator import build_wl, dump_lines
 from .symbol import (
     DEFAULT_BOUNDARY_GRID,
@@ -95,18 +95,8 @@ def _flatten(obj, prefix=""):
     return [(prefix, obj)]
 
 
-def _emit(payload, args):
-    payload = _jsonable(payload)
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["key,value"]
-        for key, value in _flatten(payload):
-            lines.append("%s,%s" % (key, value))
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = ["%s: %s" % (key, value) for key, value in _flatten(payload)]
-        text = "\n".join(lines) + "\n"
+def _write(text: str, args) -> None:
+    # the one place CLI output goes: the --out file, or else stdout
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -114,24 +104,38 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
+def _render(payload, fmt: str) -> str:
+    payload = _jsonable(payload)
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["key,value"] + ["%s,%s" % (key, value) for key, value in _flatten(payload)]
+    else:
+        lines = ["%s: %s" % (key, value) for key, value in _flatten(payload)]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(payload, args) -> None:
+    _write(_render(payload, args.format), args)
+
+
 def _load_input(args):
-    if getattr(args, "gallery", None):
-        entry = build_entry(args.gallery, **_parse_params(getattr(args, "param", None)))
+    if args.gallery:
+        entry = build_entry(args.gallery, **_parse_params(args.param))
         return entry.symbol, "gallery:%s" % args.gallery
-    path = getattr(args, "file", None)
-    if not path:
+    if not args.file:
         raise OdolabError("need a symbol FILE or --gallery NAME")
-    return load_symbol(path), path
+    return load_symbol(args.file), args.file
 
 
-def _resolve_depth(args, sym):
+def _resolve_depth(args, *syms):
     if args.depth is not None:
         return args.depth
-    return 64 if sym.n == 1 else 6
+    return 64 if max(sym.n for sym in syms) == 1 else 6
 
 
-def _config(args, source, depth, extra=None):
-    cfg = {
+def _config(args, source, depth):
+    return {
         "command": args.command,
         "source": source,
         "depth": depth,
@@ -140,21 +144,56 @@ def _config(args, source, depth, extra=None):
         "grid": args.grid,
         "seed": args.seed,
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def _tol(args) -> Tolerance:
     return Tolerance(eps_exact=args.tol_exact, eps_rank=args.tol_rank)
 
 
-def cmd_classify(args):
-    sym, source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    rep = classify(sym, depth, _tol(args), grid=args.grid, invertibility=args.invertibility)
-    _emit({"config": _config(args, source, depth), "report": rep.to_dict()}, args)
-    return 0
+def _report(compute):
+    """Command for one symbol at one depth: load the input, resolve the
+    depth, run compute(sym, depth, args) and emit its report under the
+    config."""
+
+    def command(args):
+        sym, source = _load_input(args)
+        depth = _resolve_depth(args, sym)
+        _emit({"config": _config(args, source, depth), "report": compute(sym, depth, args)}, args)
+        return 0
+
+    return command
+
+
+def _classify(sym, depth, args):
+    return classify(sym, depth, _tol(args), grid=args.grid, invertibility=args.invertibility).to_dict()
+
+
+def _defect(sym, depth, args):
+    basis, stable, below = defect_with_stability(sym, depth, _tol(args))
+    return {
+        "defect_dim": basis.dim,
+        "el_dim": basis.el_dim,
+        "kernel_dim": basis.stacked_kernel_dim,
+        "el_minus_range_dim": basis.el_minus_range_dim,
+        "stable": stable,
+        "dim_at_shallower_depth": below,
+    }
+
+
+def _norm(sym, depth, args):
+    return norm_report(sym, depth, grid=args.grid, tol=_tol(args)).to_dict()
+
+
+def _coburn(sym, depth, args):
+    lambdas = tuple(complex(v) for v in args.at) if args.at else DEFAULT_COBURN_POINTS
+    return [
+        {"lam": pt.lam, "sigma_min": pt.sigma_min, "floor": pt.floor, "margin": pt.sigma_min - pt.floor}
+        for pt in coburn_bound(sym, depth, lambdas, _tol(args))
+    ]
+
+
+def _hypo(sym, depth, args):
+    return hyponormality_probe(sym, depth, _tol(args)).to_dict()
 
 
 def cmd_symbol(args):
@@ -178,63 +217,18 @@ def cmd_symbol(args):
     return 0
 
 
-def cmd_defect(args):
-    sym, source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    basis, stable, below = defect_with_stability(sym, depth, _tol(args))
-    result = {
-        "defect_dim": basis.dim,
-        "el_dim": basis.el_dim,
-        "kernel_dim": basis.stacked_kernel_dim,
-        "el_minus_range_dim": basis.el_minus_range_dim,
-        "stable": stable,
-        "dim_at_shallower_depth": below,
-    }
-    _emit({"config": _config(args, source, depth), "report": result}, args)
-    return 0
-
-
-def cmd_norm(args):
-    sym, source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    rep = norm_report(sym, depth, grid=args.grid, tol=_tol(args))
-    _emit({"config": _config(args, source, depth), "report": rep.to_dict()}, args)
-    return 0
-
-
 def cmd_douglas(args):
     l1 = load_symbol(args.file1)
     l2 = load_symbol(args.file2)
-    depth = args.depth if args.depth is not None else (64 if max(l1.n, l2.n) == 1 else 6)
+    depth = _resolve_depth(args, l1, l2)
     try:
-        res = douglas_factor(l1, l2, depth, _tol(args), grid=args.theta_grid)
+        res = douglas_factor(l1, l2, depth, _tol(args), grid=args.grid)
         result = {"contained": True}
         result.update(res.to_dict())
     except RangeNotContained as exc:
         result = {"contained": False, "residual": exc.residual}
     source = "%s|%s" % (args.file1, args.file2)
     _emit({"config": _config(args, source, depth), "report": result}, args)
-    return 0
-
-
-def cmd_coburn(args):
-    sym, source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    lambdas = tuple(complex(v) for v in args.at) if args.at else DEFAULT_COBURN_POINTS
-    points = coburn_bound(sym, depth, lambdas, _tol(args))
-    result = [
-        {"lam": pt.lam, "sigma_min": pt.sigma_min, "floor": pt.floor, "margin": pt.sigma_min - pt.floor}
-        for pt in points
-    ]
-    _emit({"config": _config(args, source, depth), "report": result}, args)
-    return 0
-
-
-def cmd_hypo(args):
-    sym, source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    probe = hyponormality_probe(sym, depth, _tol(args))
-    _emit({"config": _config(args, source, depth), "report": probe.to_dict()}, args)
     return 0
 
 
@@ -250,53 +244,43 @@ def cmd_verify(args):
     return 0 if payload["passed"] else 1
 
 
-def cmd_gallery(args):
-    if args.action == "list":
-        if args.format == "json":
-            _emit({"entries": gallery_names()}, args)
-        else:
-            text = "\n".join(gallery_names()) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-        return 0
-    entry = build_entry(args.name, **_parse_params(args.param))
-    payload = _jsonable(symbol_to_dict(entry.symbol))
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def cmd_gallery_list(args):
+    if args.format == "json":
+        _emit({"entries": gallery_names()}, args)
     else:
-        sys.stdout.write(text)
+        _write("\n".join(gallery_names()) + "\n", args)
+    return 0
+
+
+def cmd_gallery_build(args):
+    entry = build_entry(args.name, **_parse_params(args.param))
+    _write(_render(symbol_to_dict(entry.symbol), "json"), args)
     return 0
 
 
 def cmd_dump(args):
     sym, _source = _load_input(args)
-    depth = _resolve_depth(args, sym)
-    w = build_wl(sym, depth)
-    text = "\n".join(dump_lines(w, sym)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    w = build_wl(sym, _resolve_depth(args, sym))
+    _write("\n".join(dump_lines(w, sym)) + "\n", args)
     return 0
 
 
-def _add_common(sub, with_input=True):
-    if with_input:
+def _add_common(sub, inputs=True, depth=True, config=True, fmt=True):
+    """Add the options a subcommand reads: the symbol input, the depth,
+    the config it reports (tolerances, grid, seed), the format, and --out."""
+    if inputs:
         sub.add_argument("file", nargs="?", help="symbol JSON file")
         sub.add_argument("--gallery", help="build the input from a gallery entry instead of a file")
         sub.add_argument("--param", action="append", help="gallery parameter key=value, repeatable")
-    sub.add_argument("--depth", type=int, default=None, help="truncation depth (default 6, or 64 when n=1)")
-    sub.add_argument("--tol-exact", type=float, default=1e-10, dest="tol_exact")
-    sub.add_argument("--tol-rank", type=float, default=1e-8, dest="tol_rank")
-    sub.add_argument("--grid", type=int, default=DEFAULT_BOUNDARY_GRID, help="boundary sample count")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    if depth:
+        sub.add_argument("--depth", type=int, default=None, help="truncation depth (default 6, or 64 when n=1)")
+    if config:
+        sub.add_argument("--tol-exact", type=float, default=DEFAULT_EPS_EXACT, dest="tol_exact")
+        sub.add_argument("--tol-rank", type=float, default=DEFAULT_EPS_RANK, dest="tol_rank")
+        sub.add_argument("--grid", type=int, default=DEFAULT_BOUNDARY_GRID, help="boundary sample count")
+        sub.add_argument("--seed", type=int, default=0)
+    if fmt:
+        sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", help="write the report to this file instead of stdout")
 
 
@@ -311,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--invertibility", action=argparse.BooleanOptionalAction, default=True,
                      help="run the boundary winding test (on by default)")
     _add_common(sub)
-    sub.set_defaults(func=cmd_classify)
+    sub.set_defaults(func=_report(_classify))
 
     sub = subs.add_parser("symbol", help="questions about the analytic symbol alone")
     group = sub.add_mutually_exclusive_group(required=True)
@@ -319,51 +303,50 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--supnorm", action="store_true", help="boundary sup bracket")
     group.add_argument("--inner", action="store_true", help="exact isometry test")
     group.add_argument("--invertible", action="store_true", help="winding-based invertibility verdict")
-    _add_common(sub)
+    _add_common(sub, depth=False)
     sub.set_defaults(func=cmd_symbol)
 
     sub = subs.add_parser("defect", help="defect space dimensions and stability")
     _add_common(sub)
-    sub.set_defaults(func=cmd_defect)
+    sub.set_defaults(func=_report(_defect))
 
     sub = subs.add_parser("norm", help="operator norm vs the closed-form value")
     _add_common(sub)
-    sub.set_defaults(func=cmd_norm)
+    sub.set_defaults(func=_report(_norm))
 
     sub = subs.add_parser("douglas", help="factor the first symbol through the second")
     sub.add_argument("file1")
     sub.add_argument("file2")
-    sub.add_argument("--theta-grid", type=int, default=128, dest="theta_grid")
-    _add_common(sub, with_input=False)
+    _add_common(sub, inputs=False)
     sub.set_defaults(func=cmd_douglas)
 
     sub = subs.add_parser("coburn", help="sigma_min floor at points inside the disk")
     sub.add_argument("--at", action="append", help="evaluation point, repeatable (complex literal)")
     _add_common(sub)
-    sub.set_defaults(func=cmd_coburn)
+    sub.set_defaults(func=_report(_coburn))
 
     sub = subs.add_parser("hypo", help="hyponormality necessary-condition probe")
     _add_common(sub)
-    sub.set_defaults(func=cmd_hypo)
+    sub.set_defaults(func=_report(_hypo))
 
     sub = subs.add_parser("verify", help="run a cross-checking suite")
     sub.add_argument("suite", nargs="?", default="all", choices=("all",) + tuple(sorted(SUITES)))
-    _add_common(sub, with_input=False)
+    _add_common(sub, inputs=False, depth=False)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("gallery", help="list or build the bundled examples")
     gallery_subs = sub.add_subparsers(dest="action", required=True)
     sub_list = gallery_subs.add_parser("list")
-    _add_common(sub_list, with_input=False)
-    sub_list.set_defaults(func=cmd_gallery, action="list", name=None, param=None)
+    _add_common(sub_list, inputs=False, depth=False, config=False)
+    sub_list.set_defaults(func=cmd_gallery_list)
     sub_build = gallery_subs.add_parser("build")
     sub_build.add_argument("name", choices=sorted(GALLERY))
     sub_build.add_argument("--param", action="append")
-    _add_common(sub_build, with_input=False)
-    sub_build.set_defaults(func=cmd_gallery, action="build")
+    _add_common(sub_build, inputs=False, depth=False, config=False, fmt=False)
+    sub_build.set_defaults(func=cmd_gallery_build)
 
     sub = subs.add_parser("dump", help="print the matrix of the map in sparse text form")
-    _add_common(sub)
+    _add_common(sub, config=False, fmt=False)
     sub.set_defaults(func=cmd_dump)
 
     return parser

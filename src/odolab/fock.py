@@ -63,32 +63,6 @@ def word_in_n0(word, n: int) -> bool:
     return any(a != n for a in word)
 
 
-def is_ones_chain(word) -> bool:
-    return all(a == 1 for a in word)
-
-
-def is_ns_chain(word, n: int) -> bool:
-    return all(a == n for a in word)
-
-
-@dataclass(frozen=True)
-class WordClass:
-    in_m0: bool
-    in_n0: bool
-    ones_chain: bool
-    ns_chain: bool
-
-
-def classify_word(word, n: int) -> WordClass:
-    w = check_word(word, n)
-    return WordClass(
-        in_m0=word_in_m0(w),
-        in_n0=word_in_n0(w, n),
-        ones_chain=is_ones_chain(w),
-        ns_chain=is_ns_chain(w, n),
-    )
-
-
 def successor(mu, n: int) -> Word:
     """Odometer carry: bump the first letter below n, reset the prefix to 1s.
 

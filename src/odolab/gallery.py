@@ -9,6 +9,7 @@ them from the analysis code, that would be circular.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,4 +339,9 @@ def gallery_names():
 def build_entry(name: str, **params) -> GalleryEntry:
     if name not in GALLERY:
         raise KeyError("unknown gallery entry %r (have: %s)" % (name, ", ".join(gallery_names())))
+    accepted = inspect.signature(GALLERY[name]).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError("gallery entry %r takes no parameter %s (accepted: %s)"
+                         % (name, ", ".join(unknown), ", ".join(accepted)))
     return GALLERY[name](**params)

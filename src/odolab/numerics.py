@@ -54,11 +54,6 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def svd(a):
-    """Reduced SVD, A = u @ diag(s) @ vh with s descending."""
-    return np.linalg.svd(as_cmatrix(a), full_matrices=False)
-
-
 def operator_norm(a) -> float:
     m = as_cmatrix(a)
     if m.size == 0:
@@ -192,26 +187,16 @@ def least_squares(b, a):
     return x, residual
 
 
-def orthocomplement_basis(vectors, ambient: int, tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal basis of the orthogonal complement of span(vectors).
+def orthocomplement_basis(cols, ambient: int, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal basis of the orthogonal complement of the column span.
 
-    Parameters
-    ----------
-    vectors : sequence of 1-D arrays, or a 2-D array of columns; may be
-        empty, in which case the full standard basis comes back.
-    ambient : dimension of the surrounding coordinate space.
-
-    Returns an (ambient, ambient - rank) array with orthonormal columns.
+    cols is an (ambient, k) array; with k = 0 the full standard basis
+    comes back.  Returns an (ambient, ambient - rank) array with
+    orthonormal columns.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = np.asarray(vectors, dtype=complex)
-    else:
-        vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-        if not vecs:
-            return np.eye(ambient, dtype=complex)
-        cols = np.column_stack(vecs)
-    if cols.shape[0] != ambient:
-        raise ValueError("vector length %d != ambient %d" % (cols.shape[0], ambient))
+    cols = np.asarray(cols, dtype=complex)
+    if cols.ndim != 2 or cols.shape[0] != ambient:
+        raise ValueError("columns of shape %r for ambient %d" % (cols.shape, ambient))
     if cols.shape[1] == 0:
         return np.eye(ambient, dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=True)

@@ -258,7 +258,7 @@ def _symbol_arrays(sym: Symbol):
     return length, value, s, q, np.array(list(sym.entries.values()), dtype=complex)
 
 
-def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None, cap: int | None = None) -> FockOperator:
+def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None) -> FockOperator:
     """Forward odometer action on the depth-truncated basis.
 
     Columns follow the case split of the action: the vacuum column is L
@@ -271,8 +271,8 @@ def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None, cap: in
         codomain_depth = depth + sym.K
     if codomain_depth < depth + sym.K:
         raise ValueError("codomain depth %d loses image mass" % codomain_depth)
-    domain = fock.enumerate_basis(sym.n, depth, sym.d, cap=cap)
-    codomain = fock.enumerate_basis(sym.n, codomain_depth, sym.d, cap=cap)
+    domain = fock.enumerate_basis(sym.n, depth, sym.d)
+    codomain = fock.enumerate_basis(sym.n, codomain_depth, sym.d)
     n, d = sym.n, sym.d
     # interior words (a letter below n) carry to their successor, slot by slot
     lengths, digits = fock.basis_digits(n, depth)
@@ -288,7 +288,7 @@ def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None, cap: in
     return _operator(domain, codomain, _triplets(parts, (codomain.size, domain.size)))
 
 
-def build_wl_adjoint(sym: Symbol, depth: int, cap: int | None = None) -> FockOperator:
+def build_wl_adjoint(sym: Symbol, depth: int) -> FockOperator:
     """Adjoint of the odometer action from its closed form, square at depth.
 
     Column for (gamma, l): the inverse carry sends gamma to its
@@ -301,7 +301,7 @@ def build_wl_adjoint(sym: Symbol, depth: int, cap: int | None = None) -> FockOpe
     Assembled without reference to build_wl; the conjugate-transpose
     identity between the two is a verification target, not an input.
     """
-    basis = fock.enumerate_basis(sym.n, depth, sym.d, cap=cap)
+    basis = fock.enumerate_basis(sym.n, depth, sym.d)
     n, d = sym.n, sym.d
     # words with a letter above 1 go back to their predecessor, slot by slot
     lengths, digits = fock.basis_digits(n, depth)
@@ -384,11 +384,6 @@ def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
 def inclusion(w: FockOperator) -> FockOperator:
     """Canonical inclusion of the domain basis into the codomain basis."""
     return FockOperator(w.domain, w.codomain, sparse.eye(w.codomain.size, w.domain.size))
-
-
-def square_compression(w: FockOperator) -> np.ndarray:
-    """Dense square matrix: rows cut back to the domain's index range."""
-    return w.restrict_rows(w.domain.size).toarray()
 
 
 def dump_lines(w: FockOperator, sym: Symbol) -> list:

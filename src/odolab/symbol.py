@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, numerics
-from .errors import BoundaryZeroSuspected, IdenticallySingular, SymbolFormatError
+from .errors import IdenticallySingular, SymbolFormatError
 from .numerics import DEFAULT_TOL, Tolerance
 
 DEFAULT_BOUNDARY_GRID = 4096
@@ -68,22 +68,6 @@ class Symbol:
             if fock.word_in_m0(word):
                 best = max(best, abs(value))
         return best
-
-    def restrict_ones(self) -> "Symbol":
-        kept = {
-            key: value
-            for key, value in self.entries.items()
-            if fock.is_ones_chain(key[0])
-        }
-        return Symbol(self.n, self.d, kept)
-
-    def restrict_m(self) -> "Symbol":
-        kept = {
-            key: value
-            for key, value in self.entries.items()
-            if fock.word_in_m0(key[0])
-        }
-        return Symbol(self.n, self.d, kept)
 
     def as_matrix(self, basis: fock.BasisIndex) -> np.ndarray:
         """Matrix of L against the given Fock basis, one column per slot."""

@@ -15,11 +15,11 @@ from odolab.analysis import (
     hyponormality_probe,
     isometry_deviation,
     norm_report,
-    self_commutator_gap,
     wold_multiplicity,
 )
 from odolab.errors import BoundaryZeroSuspected, NotIsometric, RangeNotContained
-from odolab.operator import build_wl
+from odolab.numerics import numerical_rank
+from odolab.operator import build_wl, toeplitz_truncation
 from odolab.symbol import Symbol
 
 
@@ -241,6 +241,21 @@ def test_douglas_round_trip():
     assert res.theta_gap is not None and res.theta_gap <= 1e-10
 
 
+def test_douglas_theta_gap_on_the_boundary_grid():
+    # Theta_1 = Theta_2 C up to rounding, with C a unimodular scalar; the
+    # vectorised gap is the max of the scalar evaluations on the same grid
+    l2 = Symbol(1, 1, {((), 1, 1): 0.6, ((1,), 1, 1): 0.48, ((1, 1), 1, 1): -0.64})
+    c = np.exp(0.3j)
+    l1 = Symbol(1, 1, {key: value * c for key, value in l2.entries.items()})
+    for grid in (16, 128):
+        res = douglas_factor(l1, l2, 2, grid=grid)
+        t1, t2 = l1.theta(), l2.theta()
+        zs = np.exp(2j * np.pi * np.arange(grid) / grid)
+        want = max(float(np.max(np.abs(t1(z) - t2(z) @ res.factor))) for z in zs)
+        assert res.theta_gap == pytest.approx(want, abs=1e-15)
+        assert res.theta_gap <= 1e-14
+
+
 def test_douglas_identity_factor_for_self():
     for sym in (shift_like(1), diagonal_like(2), vacuum_like(np.eye(2)), hypo_like()):
         res = douglas_factor(sym, sym, 3)
@@ -274,7 +289,6 @@ def test_hyponormality_probe_counterexample():
     assert probe.necessary_condition
     assert probe.witness_gap == pytest.approx(1.0, abs=1e-12)
     assert probe.witness_word == (1,)
-    assert self_commutator_gap(hypo_like(), 5) > 0.5
 
 
 def test_hyponormality_probe_contraction():
@@ -453,3 +467,32 @@ def test_classify_runs_the_defect_once(monkeypatch):
     assert sorted(calls) == [("_mtheta_multiplicity", 5), ("defect_with_stability", 5)]
     assert rep.mult_wl == rep.mult_mtheta == 4
     assert rep.fredholm == -4
+
+
+def test_one_toeplitz_truncation_per_wold_and_classify(monkeypatch):
+    # T_Theta is assembled once, by the defect pass; the symbol-side Wold
+    # count reads the leading block of that pass's T_Theta*
+    calls = []
+
+    def counted(theta, size):
+        calls.append(size)
+        return toeplitz_truncation(theta, size)
+
+    monkeypatch.setattr(analysis, "toeplitz_truncation", counted)
+    cases = ((shift_like(2, d=2), 5), (vacuum_like(np.eye(2)), 0), (diagonal_like(3), 4),
+             # Theta(z) = U diag(1, z), inner with U a rotation
+             (Symbol(1, 2, {((), 1, 1): 0.6, ((), 2, 1): -0.8, ((1,), 1, 2): 0.8, ((1,), 2, 2): 0.6}), 9))
+    for sym, depth in cases:
+        calls.clear()
+        pair = wold_multiplicity(sym, depth)
+        assert len(calls) == 1
+        calls.clear()
+        rep = classify(sym, depth, invertibility=False)
+        assert len(calls) == 1
+        assert (rep.mult_wl, rep.mult_mtheta) == pair
+        # the block read equals T_Theta* assembled at this depth, bit for bit
+        keep = (depth - sym.K + 1) * sym.d
+        fresh = toeplitz_truncation(sym.theta(), depth + 1).conj().T[:, :keep]
+        here = defect(sym, max(depth, 1))
+        assert np.array_equal(here.stacked_matrix[: (depth + 1) * sym.d, :keep], fresh)
+        assert pair[1] == keep - numerical_rank(fresh)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from odolab import cli
 from odolab.cli import main
-from odolab.symbol import Symbol, load_symbol, save_symbol
+from odolab.numerics import DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK
+from odolab.symbol import DEFAULT_BOUNDARY_GRID, Symbol, load_symbol, save_symbol
 
 
 @pytest.fixture
@@ -155,4 +157,73 @@ def test_douglas_self_and_refusal(capsys, tmp_path):
 
 def test_bad_gallery_param_exits_one(capsys):
     code, _out = run(capsys, "classify", "--gallery", "shift", "--param", "nope")
+    assert code == 1
+
+
+def test_unknown_gallery_param_exits_one(capsys):
+    code = main(["classify", "--gallery", "shift", "--param", "foo=1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "foo" in err and "accepted: k, n, d" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--gallery", "shift", "--depth", "2"],
+    ["norm", "--gallery", "shift", "--depth", "2", "--format", "csv"],
+    ["defect", "--gallery", "diagonal", "--param", "d=2", "--depth", "3", "--format", "text"],
+    ["gallery", "list"],
+    ["gallery", "list", "--format", "text"],
+    ["gallery", "build", "shift", "--param", "k=2"],
+    ["dump", "--gallery", "shift", "--depth", "2"],
+], ids=["json", "csv", "text", "gallery-list-json", "gallery-list-text", "gallery-build", "dump"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "report"
+    code, quiet = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and quiet == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "--gallery", "shift", "--seed", "0"],
+    ["dump", "--gallery", "shift", "--format", "json"],
+    ["gallery", "list", "--depth", "3"],
+    ["gallery", "list", "--tol-exact", "1e-12"],
+    ["gallery", "build", "shift", "--format", "json"],
+    ["symbol", "--gallery", "shift", "--inner", "--depth", "3"],
+    ["verify", "wold", "--depth", "3"],
+])
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1 and out == ""
+
+
+def test_defaults_are_the_library_defaults(capsys, tmp_path):
+    code, out = run(capsys, "norm", "--gallery", "shift", "--depth", "2")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["tol_exact"], config["tol_rank"]) == (DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK)
+    assert config["grid"] == DEFAULT_BOUNDARY_GRID
+    # douglas resolves its depth over both symbols with the same rule
+    path = str(tmp_path / "z.json")
+    save_symbol(Symbol(1, 1, {((1,), 1, 1): 1.0}), path)
+    code, out = run(capsys, "douglas", path, path)
+    assert code == 0
+    assert json.loads(out)["config"]["depth"] == 64
+
+
+def test_douglas_samples_the_grid_it_reports(capsys, monkeypatch, one_plus_z):
+    grids = []
+    real = cli.douglas_factor
+
+    def spy(*args, grid):
+        grids.append(grid)
+        return real(*args, grid=grid)
+
+    monkeypatch.setattr(cli, "douglas_factor", spy)
+    code, out = run(capsys, "douglas", one_plus_z, one_plus_z, "--depth", "2", "--grid", "64")
+    assert code == 0 and grids == [64]
+    assert json.loads(out)["config"]["grid"] == 64
+    code, _out = run(capsys, "douglas", one_plus_z, one_plus_z, "--theta-grid", "64")
     assert code == 1

@@ -8,13 +8,10 @@ from odolab.fock import (
     BasisIndex,
     basis_digits,
     carry,
-    classify_word,
     digit_values,
     enumerate_basis,
     enumerate_words,
     inverse_carry,
-    is_ns_chain,
-    is_ones_chain,
     leading_ones,
     predecessor,
     successor,
@@ -77,21 +74,6 @@ def test_successor_is_length_preserving_bijection():
             m0 = {w for w in product(range(1, n + 1), repeat=m) if word_in_m0(w)}
             assert images == m0
             assert len(images) == len(n0)
-
-
-def test_word_class_partition():
-    for n in (1, 2, 3):
-        for w in all_words(n, 5):
-            c = classify_word(w, n)
-            assert c.in_m0 == (not c.ones_chain)
-            assert c.in_n0 == (not c.ns_chain)
-    # vacuum sits on both chains
-    c = classify_word(VACUUM, 2)
-    assert c.ones_chain and c.ns_chain and not c.in_m0 and not c.in_n0
-    # for n = 1 every word is both chains at once
-    for w in all_words(1, 4):
-        c = classify_word(w, 1)
-        assert c.ones_chain and c.ns_chain
 
 
 def test_leading_ones_split():
@@ -162,14 +144,6 @@ def test_cap_env_override(monkeypatch):
         BasisIndex(2, 3, 2)
     monkeypatch.setenv("ODOLAB_CAP", "1000000")
     assert BasisIndex(3, 11, 1).size == 265720
-
-
-def test_chain_predicates():
-    assert is_ones_chain((1, 1, 1))
-    assert not is_ones_chain((1, 2))
-    assert is_ns_chain((3, 3), 3)
-    assert not is_ns_chain((3, 1), 3)
-    assert is_ones_chain(VACUUM) and is_ns_chain(VACUUM, 2)
 
 
 def test_closed_form_index_matches_enumeration():

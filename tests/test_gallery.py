@@ -158,3 +158,10 @@ def test_registry_respects_params():
     assert entry.expected["fredholm_index"] == -6
     entry = build_entry("projection", d=4, rank=1)
     assert entry.expected["defect_dim"] == 1
+
+
+def test_registry_rejects_unknown_params():
+    with pytest.raises(ValueError, match="no parameter foo .accepted: k, n, d."):
+        build_entry("shift", foo=1)
+    with pytest.raises(ValueError, match="accepted: zeros, R, n"):
+        build_entry("blaschke", R=4, d=2)

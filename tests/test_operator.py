@@ -21,7 +21,6 @@ from odolab.operator import (
     hardy_block_matrix,
     hardy_transport,
     inclusion,
-    square_compression,
     subbasis,
     toeplitz_truncation,
 )
@@ -275,7 +274,7 @@ def test_inclusion_and_square_compression():
     w = build_wl(sym, 2)
     inc = inclusion(w)
     assert inc.nnz == w.domain.size
-    sq = square_compression(w)
+    sq = w.restrict_rows(w.domain.size).toarray()
     assert sq.shape == (w.domain.size, w.domain.size)
     # compression drops exactly the rows beyond the domain range
     assert np.count_nonzero(sq) == sum(1 for (i, _) in w.data if i < w.domain.size)

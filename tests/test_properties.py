@@ -7,8 +7,9 @@ floor) must reproduce the smallest singular value of W - lambda I on
 random inner symbols away from the circle.  Both are checked against a
 dense SVD of the whole map, also when its shift hint is wrong.  The
 forward build's conjugate transpose must equal the closed-form adjoint
-build.  The one-pass stability check of
-defect_with_stability is checked against two defect passes, and the Wold
+build, and its [1-chain rows, all-n chain columns] block cut to degrees
+<= D must be the block Toeplitz truncation of the analytic symbol.  The
+one-pass stability check of defect_with_stability is checked against two defect passes, and the Wold
 pair and Fredholm index against the closed form on inner symbols.
 """
 
@@ -22,7 +23,10 @@ from odolab.analysis import (
 )
 from odolab.errors import SpectralUncertified
 from odolab.numerics import sparse_sigma_min
-from odolab.operator import build_wl, build_wl_adjoint, carry_singular_values, inclusion
+from odolab.operator import (
+    SubspaceSelector, block, build_wl, build_wl_adjoint, carry_singular_values, hardy_block_matrix, inclusion,
+    toeplitz_truncation,
+)
 from odolab.symbol import Symbol
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -138,6 +142,17 @@ def test_adjoint_build_is_the_conjugate_transpose(sym, want_depth):
     w = build_wl(sym, depth)
     star = build_wl_adjoint(sym, depth + sym.K).restrict_rows(w.domain.size)
     assert np.max(np.abs(w.toarray().conj().T - star.toarray()), initial=0.0) <= 1e-12
+
+
+@SETTINGS
+@given(symbols(), st.integers(0, 6))
+def test_chain_block_is_the_toeplitz_truncation(sym, want_depth):
+    # the Toeplitz realisation: W_L maps the all-n chain copy of H^2 onto
+    # the 1-chain copy as T_Theta, whatever L holds off the 1-chain
+    depth = min(want_depth, depth_for(sym, 400_000))
+    chain = block(build_wl(sym, depth), SubspaceSelector.M_PERP, SubspaceSelector.N_PERP)
+    rows = hardy_block_matrix(chain)[: (depth + 1) * sym.d]
+    assert np.max(np.abs(rows - toeplitz_truncation(sym.theta(), depth + 1))) <= 1e-12
 
 
 def projector(basis):
