@@ -32,8 +32,8 @@ codomain = w.codomain
 print("\ncolumns of the map at depth %d (n=%d, d=%d):" % (depth, n, d))
 for col in range(min(basis.size, 8)):
     word, slot = basis.pair(col)
-    entries = [(row, val) for (row, c), val in w.data.items() if c == col]
-    entries.sort()
+    column = w.to_csr()[:, [col]].tocoo()
+    entries = sorted(zip(column.row.tolist(), column.data.tolist()))
     targets = ", ".join(
         "%.2f at %s" % (val.real, codomain.pair(row)[0]) for row, val in entries
     )

@@ -35,7 +35,6 @@ from .operator import (
     build_wl,
     build_wl_adjoint,
     carry_singular_values,
-    inclusion,
     toeplitz_truncation,
 )
 from .symbol import (
@@ -298,11 +297,10 @@ class DouglasResult:
         }
 
 
-def _gamma_operator(c: np.ndarray, basis: fock.BasisIndex) -> FockOperator:
+def _gamma_operator(c: np.ndarray, basis: fock.BasisIndex):
     # identity on the interior, C on every all-n chain level: block diagonal
     chain = SubspaceSelector.N_PERP.mask(basis)[:: basis.d].astype(float)
-    g = sparse.kron(sparse.diags(1.0 - chain), np.eye(basis.d)) + sparse.kron(sparse.diags(chain), c)
-    return FockOperator(basis, basis, g)
+    return sparse.kron(sparse.diags(1.0 - chain), np.eye(basis.d)) + sparse.kron(sparse.diags(chain), c)
 
 
 def douglas_factor(
@@ -338,7 +336,7 @@ def douglas_factor(
     w1 = build_wl(l1, depth, codomain_depth=depth + k)
     w2 = build_wl(l2, depth, codomain_depth=depth + k)
     gamma = _gamma_operator(c, w1.domain)
-    wl_gap = w1.max_abs_diff(w2 @ gamma)
+    wl_gap = w1.max_abs_diff(FockOperator(w1.domain, w1.codomain, w2.to_csr() @ gamma))
 
     theta_gap = None
     if l1.m_mass() <= tol.eps_exact and l2.m_mass() <= tol.eps_exact:
@@ -387,7 +385,7 @@ def coburn_bound(
     """
     _require_isometric(sym, tol)
     w = build_wl(sym, depth)
-    a, inc = w.to_csr(), inclusion(w).to_csr()
+    a, inc = w.to_csr(), sparse.eye(*w.shape, dtype=complex, format="csr")
     out = []
     for lam in lambdas:
         lam = complex(lam)
@@ -406,13 +404,7 @@ class HypoProbe:
     witness_gap: float
 
     def to_dict(self):
-        return {
-            "necessary_condition": self.necessary_condition,
-            "sigma_min_l": self.sigma_min_l,
-            "witness_word": list(self.witness_word) if self.witness_word is not None else None,
-            "witness_slot": self.witness_slot,
-            "witness_gap": self.witness_gap,
-        }
+        return asdict(self)
 
 
 def hyponormality_probe(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> HypoProbe:

@@ -344,4 +344,8 @@ def build_entry(name: str, **params) -> GalleryEntry:
     if unknown:
         raise ValueError("gallery entry %r takes no parameter %s (accepted: %s)"
                          % (name, ", ".join(unknown), ", ".join(accepted)))
-    return GALLERY[name](**params)
+    try:
+        return GALLERY[name](**params)
+    except TypeError as exc:
+        given = ", ".join("%s=%r" % item for item in params.items())
+        raise ValueError("gallery entry %r cannot take %s: %s" % (name, given, exc)) from exc

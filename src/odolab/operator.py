@@ -9,8 +9,9 @@ other.
 
 Both builds are index arithmetic on the closed-form Fock index: carries
 on arrays of 0-based digits, symbol terms on (entry x level) grids.  A
-FockOperator stores one canonical CSR matrix (sorted indices, no
-duplicates, no explicit zeros); .data is a read-only mapping view of it.
+FockOperator is one canonical complex CSR matrix (sorted indices, no
+duplicates, no explicit zeros) between two indexed bases; products,
+identities and entry reads are scipy.sparse operations on that matrix.
 
 The forward map is built with a codomain deep enough (domain depth plus
 symbol depth) that no image coefficient is lost to truncation.
@@ -18,14 +19,12 @@ symbol depth) that no image coefficient is lost to truncation.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
 from . import fock
-from .errors import OffChainSupport
 from .symbol import MatrixPolynomial, Symbol
 
 
@@ -78,12 +77,18 @@ def subbasis(basis: fock.BasisIndex, selector: SubspaceSelector) -> SubBasis:
     return SubBasis(basis, np.flatnonzero(selector.mask(basis)), selector)
 
 
-def _canonical(matrix, shape, copy: bool = False) -> sparse.csr_matrix:
-    # copy only matters for CSR input, which is otherwise shared
-    out = sparse.csr_matrix(matrix, shape=shape, dtype=complex, copy=copy)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+def _canonical(matrix, shape) -> sparse.csr_matrix:
+    # a canonical complex CSR matrix is kept as given; anything else is
+    # converted and made canonical in place (CSR or (data, indices, indptr)
+    # input hands its arrays over)
+    if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == complex
+            and matrix.has_canonical_format and matrix.data.all()):
+        matrix = sparse.csr_matrix(matrix, shape=shape, dtype=complex)
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+    if matrix.shape != shape:
+        raise ValueError("entries of shape %r for shape %r" % (matrix.shape, shape))
+    return matrix
 
 
 def _triplets(parts, shape):
@@ -97,54 +102,20 @@ def _triplets(parts, shape):
     return vals.astype(complex)[order], cols[order], indptr
 
 
-class EntryView(Mapping):
-    """Read-only (row, col) -> value view over a canonical CSR matrix."""
-
-    def __init__(self, csr: sparse.csr_matrix):
-        self.csr = csr
-
-    def __getitem__(self, key):
-        # canonical storage: an entry is stored exactly when it is nonzero
-        i, j = key
-        rows, cols = self.csr.shape
-        value = complex(self.csr[i, j]) if 0 <= i < rows and 0 <= j < cols else 0j
-        if value == 0:
-            raise KeyError(key)
-        return value
-
-    def __iter__(self):
-        rows = np.repeat(np.arange(self.csr.shape[0]), np.diff(self.csr.indptr))
-        return zip(rows.tolist(), self.csr.indices.tolist())
-
-    def __len__(self):
-        return self.csr.nnz
-
-
 class FockOperator:
     """Sparse matrix between two indexed bases, entries kept exactly.
 
-    data may be None, another operator's .data view (shared, not copied),
-    a mapping (row, col) -> value, or anything scipy.sparse turns into a
-    CSR matrix.  Treat to_csr() as read-only: it is the stored matrix.
+    data is None (the zero map) or anything sparse.csr_matrix accepts.  A
+    canonical complex CSR matrix of the right shape is stored as given,
+    not copied; anything else is converted and made canonical in place.
+    .data is the stored matrix, as is to_csr(); treat it as read-only.
     """
 
     def __init__(self, domain, codomain, data=None):
         self.domain = domain
         self.codomain = codomain
         shape = (codomain.size, domain.size)
-        if isinstance(data, EntryView):
-            self._csr = data.csr
-        elif isinstance(data, Mapping):
-            keys = np.array(list(data.keys()), dtype=np.int64).reshape(-1, 2)
-            self._csr = _canonical(_triplets([(keys[:, 0], keys[:, 1], list(data.values()))], shape), shape)
-        else:
-            self._csr = _canonical(shape if data is None else data, shape, copy=True)
-        if self._csr.shape != shape:
-            raise ValueError("entries of shape %r for shape %r" % (self._csr.shape, shape))
-
-    @property
-    def data(self) -> EntryView:
-        return EntryView(self._csr)
+        self.data = _canonical(shape if data is None else data, shape)
 
     @property
     def shape(self):
@@ -152,45 +123,38 @@ class FockOperator:
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
-
-    def entry(self, row: int, col: int) -> complex:
-        return self.data.get((row, col), 0.0 + 0.0j)
+        return self.data.nnz
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.data.toarray()
 
     def to_csr(self):
-        return self._csr
+        return self.data
 
     def conjugate_transpose(self) -> "FockOperator":
-        out = self._csr.T.tocsr()
+        out = self.data.T.tocsr()
         np.conjugate(out.data, out=out.data)
-        return _operator(self.codomain, self.domain, out)
+        return FockOperator(self.codomain, self.domain, out)
 
     def restrict_rows(self, row_count: int) -> "FockOperator":
         """Keep rows below row_count; valid because deeper bases extend
-        shallower ones by index.  The result shares this operator's
-        arrays: a row prefix of a canonical CSR matrix is canonical."""
+        shallower ones by index.  A row prefix of a canonical CSR matrix
+        is canonical, so the result shares this operator's arrays (scipy
+        copies a prefix that holds less than half of the entries)."""
         rows = SubBasis(self.codomain, np.arange(row_count))
-        end = self._csr.indptr[row_count]
-        prefix = (self._csr.data[:end], self._csr.indices[:end], self._csr.indptr[: row_count + 1])
-        return FockOperator(self.domain, rows, EntryView(sparse.csr_matrix(prefix, shape=(row_count, self.shape[1]))))
+        end = self.data.indptr[row_count]
+        prefix = (self.data.data[:end], self.data.indices[:end], self.data.indptr[: row_count + 1])
+        return FockOperator(self.domain, rows, sparse.csr_matrix(prefix, shape=(row_count, self.shape[1])))
 
     def max_abs_diff(self, other: "FockOperator") -> float:
         if self.shape != other.shape:
             raise ValueError("shape mismatch %r vs %r" % (self.shape, other.shape))
-        diff = (self._csr - other._csr).data
+        diff = (self.data - other.data).data
         return float(np.max(np.abs(diff))) if diff.size else 0.0
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if self.domain.size != other.codomain.size:
-            raise ValueError("inner dimensions do not match")
-        return _operator(other.domain, self.codomain, self._csr @ other._csr)
-
     def column_norms(self) -> np.ndarray:
-        sq = np.abs(self._csr.data) ** 2
-        return np.sqrt(np.bincount(self._csr.indices, weights=sq, minlength=self.domain.size))
+        sq = np.abs(self.data.data) ** 2
+        return np.sqrt(np.bincount(self.data.indices, weights=sq, minlength=self.domain.size))
 
     def sigma_max(self) -> float:
         """Largest singular value of an odometer map or of its row
@@ -201,11 +165,6 @@ class FockOperator:
 
     def __repr__(self):
         return "FockOperator(shape=%r, nnz=%d)" % (self.shape, self.nnz)
-
-
-def _operator(domain, codomain, matrix) -> FockOperator:
-    # matrix is computed here, so it is made canonical in place, not copied
-    return FockOperator(domain, codomain, EntryView(_canonical(matrix, (codomain.size, domain.size))))
 
 
 def carry_singular_values(w: FockOperator):
@@ -285,7 +244,7 @@ def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None) -> Fock
     rows = (fock.word_count(n, m + length - 1) + value) * d + s
     cols = (fock.word_count(n, m) - 1) * d + q
     parts = [(_slots(succ, d), _slots(src, d), 1.0), (rows, cols, coeff)]
-    return _operator(domain, codomain, _triplets(parts, (codomain.size, domain.size)))
+    return FockOperator(domain, codomain, _triplets(parts, (codomain.size, domain.size)))
 
 
 def build_wl_adjoint(sym: Symbol, depth: int) -> FockOperator:
@@ -315,37 +274,14 @@ def build_wl_adjoint(sym: Symbol, depth: int) -> FockOperator:
     cols = (fock.word_count(n, p + length - 1) + value) * d + l
     rows = (fock.word_count(n, p) - 1) * d + q
     parts = [(_slots(pred, d), _slots(src, d), 1.0), (rows, cols, np.conj(coeff))]
-    return _operator(basis, basis, _triplets(parts, (basis.size, basis.size)))
+    return FockOperator(basis, basis, _triplets(parts, (basis.size, basis.size)))
 
 
 def block(w: FockOperator, row_sel: SubspaceSelector, col_sel: SubspaceSelector) -> FockOperator:
     """Compression of w to selected row and column sectors."""
     rows = subbasis(w.codomain, row_sel)
     cols = subbasis(w.domain, col_sel)
-    return _operator(cols, rows, w.to_csr()[rows.parent_indices][:, cols.parent_indices])
-
-
-def hardy_transport(v, basis, chain: str = "ones", atol: float = 0.0) -> np.ndarray:
-    """Unload a chain-supported coefficient vector into power coefficients.
-
-    The 1-chain and the all-n chain each carry a copy of the vector-valued
-    Hardy space: degree p coefficient = the slots of the length-p chain
-    word.  Returns an array of shape (depth + 1, d).  Any mass off the
-    chain (beyond atol) is an error, the transport is not defined there.
-    """
-    if chain not in ("ones", "ns"):
-        raise ValueError("chain must be 'ones' or 'ns'")
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != basis.size:
-        raise ValueError("vector length %d != basis size %d" % (v.size, basis.size))
-    on = (SubspaceSelector.M_PERP if chain == "ones" else SubspaceSelector.N_PERP).mask(basis)
-    off = np.flatnonzero(~on & (np.abs(v) > atol))
-    if off.size:
-        word, _ = basis.pair(int(off[0]))
-        raise OffChainSupport(
-            "component %g on word %r is off the %s chain" % (abs(v[off[0]]), word, chain)
-        )
-    return v[on].reshape(basis.depth + 1, basis.d)
+    return FockOperator(cols, rows, w.to_csr()[rows.parent_indices][:, cols.parent_indices])
 
 
 def hardy_block_matrix(wblock: FockOperator) -> np.ndarray:
@@ -381,15 +317,11 @@ def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
     return out
 
 
-def inclusion(w: FockOperator) -> FockOperator:
-    """Canonical inclusion of the domain basis into the codomain basis."""
-    return FockOperator(w.domain, w.codomain, sparse.eye(w.codomain.size, w.domain.size))
-
-
 def dump_lines(w: FockOperator, sym: Symbol) -> list:
     """Text dump: header '# n d D Dcod', then 'row col re im' per entry."""
     dcod = getattr(w.codomain, "depth", w.domain.depth)
     lines = ["# %d %d %d %d" % (sym.n, sym.d, w.domain.depth, dcod)]
-    for (i, j), v in zip(w.data, w.to_csr().data):
+    coo = w.to_csr().tocoo()
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
         lines.append("%d %d %.17g %.17g" % (i, j, v.real, v.imag))
     return lines

@@ -84,21 +84,6 @@ class Symbol:
         depth = self.K if depth is None else max(depth, self.K)
         return self.as_matrix(fock.enumerate_basis(self.n, depth, self.d))
 
-    def adjoint_apply(self, v, basis: fock.BasisIndex) -> np.ndarray:
-        """Apply L* to a coefficient vector over the given basis.
-
-        Components of v on words beyond the support contribute nothing,
-        matching the pairing <L* v, h_q> = <v, L h_q>.
-        """
-        v = np.asarray(v, dtype=complex).ravel()
-        if v.size != basis.size:
-            raise ValueError("vector length %d != basis size %d" % (v.size, basis.size))
-        out = np.zeros(self.d, dtype=complex)
-        for (word, s, q), value in self.entries.items():
-            if basis.contains_word(word):
-                out[q - 1] += np.conj(value) * v[basis.index(word, s)]
-        return out
-
     def coefficient_operator(self, r: int) -> np.ndarray:
         """d x d block read off the 1-chain of length r."""
         if r < 0:

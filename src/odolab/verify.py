@@ -8,7 +8,7 @@ refusal that should happen does happen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,14 +42,7 @@ class SuiteCheck:
     passed: bool
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "case": self.case,
-            "metric": self.metric,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -63,12 +56,10 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        # passed stays ahead of the checks, where text and csv reports list it
+        out = {**asdict(self), "passed": self.passed}
+        out["checks"] = out.pop("checks")
+        return out
 
 
 def random_symbol(rng, n: int, d: int, max_len: int, count: int = 6) -> Symbol:

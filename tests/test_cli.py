@@ -167,6 +167,17 @@ def test_unknown_gallery_param_exits_one(capsys):
     assert err.startswith("error:") and "foo" in err and "accepted: k, n, d" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["gallery", "build", "shift", "--param", "k=foo"], "'shift' cannot take k='foo'"),
+    (["classify", "--gallery", "blaschke", "--param", "zeros=2"], "'blaschke' cannot take zeros=2"),
+])
+def test_wrong_gallery_param_type_exits_one(capsys, argv, named):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--gallery", "shift", "--depth", "2"],
     ["norm", "--gallery", "shift", "--depth", "2", "--format", "csv"],

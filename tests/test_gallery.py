@@ -165,3 +165,10 @@ def test_registry_rejects_unknown_params():
         build_entry("shift", foo=1)
     with pytest.raises(ValueError, match="accepted: zeros, R, n"):
         build_entry("blaschke", R=4, d=2)
+
+
+def test_registry_rejects_wrong_param_types():
+    with pytest.raises(ValueError, match="'shift' cannot take k='foo'"):
+        build_entry("shift", k="foo")
+    with pytest.raises(ValueError, match="'blaschke' cannot take zeros=2"):
+        build_entry("blaschke", zeros=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from odolab.errors import OffChainSupport
 from odolab.fock import (
     VACUUM,
     enumerate_basis,
@@ -19,8 +19,6 @@ from odolab.operator import (
     build_wl_adjoint,
     dump_lines,
     hardy_block_matrix,
-    hardy_transport,
-    inclusion,
     subbasis,
     toeplitz_truncation,
 )
@@ -42,6 +40,11 @@ def vacuum_like(u, n=2):
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     return Symbol(n, d, {((), s, q): u[s - 1, q - 1] for s in range(1, d + 1) for q in range(1, d + 1)})
+
+
+def entries(op):
+    """The stored entries as a {(row, col): value} dict."""
+    return dict(op.to_csr().todok())
 
 
 def random_symbol(rng, n, d, max_len, count=6):
@@ -67,15 +70,15 @@ def adjoint_mismatch(sym, depth):
 
 def test_build_wl_shift_columns():
     w = build_wl(shift_like(1), 2)
-    dom, cod = w.domain, w.codomain
+    dom, cod, a = w.domain, w.codomain, w.to_csr()
     # vacuum column is L itself
-    assert w.entry(cod.index((1,), 1), dom.index(VACUUM, 1)) == 1.0
+    assert a[cod.index((1,), 1), dom.index(VACUUM, 1)] == 1.0
     # interior word carries to its successor
-    assert w.entry(cod.index((2,), 1), dom.index((1,), 1)) == 1.0
-    assert w.entry(cod.index((1, 2), 1), dom.index((2, 1), 1)) == 1.0
+    assert a[cod.index((2,), 1), dom.index((1,), 1)] == 1.0
+    assert a[cod.index((1, 2), 1), dom.index((2, 1), 1)] == 1.0
     # all-n chain restarts with a 1-prefix in front of L
-    assert w.entry(cod.index((1, 1), 1), dom.index((2,), 1)) == 1.0
-    assert w.entry(cod.index((1, 1, 1), 1), dom.index((2, 2), 1)) == 1.0
+    assert a[cod.index((1, 1), 1), dom.index((2,), 1)] == 1.0
+    assert a[cod.index((1, 1, 1), 1), dom.index((2, 2), 1)] == 1.0
     # every column of an isometric symbol has unit norm
     assert np.allclose(w.column_norms(), 1.0)
 
@@ -99,32 +102,32 @@ def test_build_wl_codomain_depth():
         build_wl(sym, 3, codomain_depth=4)
     # a deeper codomain embeds the same entries
     deeper = build_wl(sym, 3, codomain_depth=6)
-    assert deeper.data == w.data
+    assert entries(deeper) == entries(w)
 
 
 def test_build_wl_n1_chain():
     # single letter alphabet: every word restarts through L
     sym = Symbol(1, 1, {((), 1, 1): 0.5, ((1,), 1, 1): 0.25})
     w = build_wl(sym, 3)
-    cod, dom = w.codomain, w.domain
+    cod, dom, a = w.codomain, w.domain, w.to_csr()
     for p in range(4):
         col = dom.index((1,) * p, 1)
-        assert w.entry(cod.index((1,) * p, 1), col) == 0.5
-        assert w.entry(cod.index((1,) * (p + 1), 1), col) == 0.25
+        assert a[cod.index((1,) * p, 1), col] == 0.5
+        assert a[cod.index((1,) * (p + 1), 1), col] == 0.25
 
 
 def test_adjoint_shift_columns():
     star = build_wl_adjoint(shift_like(1), 3)
-    b = star.domain
+    b, a = star.domain, star.to_csr()
     # vacuum column vanishes, nothing maps onto the vacuum from L
-    assert all(key[1] != b.index(VACUUM, 1) for key in star.data)
+    assert all(key[1] != b.index(VACUUM, 1) for key in entries(star))
     # carry image pulls back
-    assert star.entry(b.index((1,), 1), b.index((2,), 1)) == 1.0
+    assert a[b.index((1,), 1), b.index((2,), 1)] == 1.0
     # resolved by the conjugate-transpose oracle: the leading-ones sum
     # sends e_1 tensor eta to the vacuum, not to e_n
-    assert star.entry(b.index(VACUUM, 1), b.index((1,), 1)) == 1.0
+    assert a[b.index(VACUUM, 1), b.index((1,), 1)] == 1.0
     col = b.index((1,), 1)
-    assert [key for key in star.data if key[1] == col] == [(b.index(VACUUM, 1), col)]
+    assert [key for key in entries(star) if key[1] == col] == [(b.index(VACUUM, 1), col)]
 
 
 def test_adjoint_constant_plus_shift_witness_column():
@@ -133,7 +136,7 @@ def test_adjoint_constant_plus_shift_witness_column():
     star = build_wl_adjoint(sym, 2)
     b = star.domain
     col = b.index((1,), 1)
-    got = {key[0]: v for key, v in star.data.items() if key[1] == col}
+    got = {key[0]: v for key, v in entries(star).items() if key[1] == col}
     assert got == {b.index(VACUUM, 1): 1.0, b.index((2,), 1): 1.0}
 
 
@@ -195,37 +198,6 @@ def test_block_w12_vanishes_for_chain_supported_symbol():
     assert block(w, M, N_PERP).nnz == 0
 
 
-def test_hardy_transport_examples():
-    basis = enumerate_basis(2, 3, 2)
-    v = np.zeros(basis.size, dtype=complex)
-    v[basis.index(VACUUM, 1)] = 2.0
-    v[basis.index((1, 1), 2)] = -1.0j
-    coeffs = hardy_transport(v, basis, chain="ones")
-    assert coeffs.shape == (4, 2)
-    assert coeffs[0, 0] == 2.0
-    assert coeffs[2, 1] == -1.0j
-    assert np.count_nonzero(coeffs) == 2
-    v[basis.index((2, 1), 1)] = 0.5
-    with pytest.raises(OffChainSupport):
-        hardy_transport(v, basis, chain="ones")
-    # same vector is fine on the other chain only if supported there
-    w = np.zeros(basis.size, dtype=complex)
-    w[basis.index((2, 2), 2)] = 3.0
-    coeffs = hardy_transport(w, basis, chain="ns")
-    assert coeffs[2, 1] == 3.0
-
-
-def test_hardy_transport_norm_preserved():
-    rng = np.random.default_rng(13)
-    basis = enumerate_basis(3, 4, 2)
-    v = np.zeros(basis.size, dtype=complex)
-    for m in range(5):
-        for s in (1, 2):
-            v[basis.index((1,) * m, s)] = rng.standard_normal() + 1j * rng.standard_normal()
-    coeffs = hardy_transport(v, basis, chain="ones")
-    assert np.linalg.norm(coeffs) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-
-
 def test_toeplitz_truncation_layout():
     theta = Symbol(2, 1, {((), 1, 1): 1.0, ((1,), 1, 1): 1.0}).theta()
     t = toeplitz_truncation(theta, 3)
@@ -263,28 +235,28 @@ def test_matmul_matches_dense():
     rng = np.random.default_rng(3)
     sym = random_symbol(rng, 2, 1, 1)
     w = build_wl(sym, 2)
-    ct = w.conjugate_transpose()
-    prod = ct @ w
-    dense = ct.toarray() @ w.toarray()
+    prod = w.conjugate_transpose().to_csr() @ w.to_csr()
+    dense = w.toarray().conj().T @ w.toarray()
     assert np.max(np.abs(prod.toarray() - dense)) <= 1e-12
 
 
 def test_inclusion_and_square_compression():
     sym = shift_like(1)
     w = build_wl(sym, 2)
-    inc = inclusion(w)
-    assert inc.nnz == w.domain.size
+    # the codomain extends the domain by index, so the identity of shape
+    # w.shape is the inclusion
+    assert all(w.codomain.pair(i) == w.domain.pair(i) for i in range(w.domain.size))
     sq = w.restrict_rows(w.domain.size).toarray()
     assert sq.shape == (w.domain.size, w.domain.size)
     # compression drops exactly the rows beyond the domain range
-    assert np.count_nonzero(sq) == sum(1 for (i, _) in w.data if i < w.domain.size)
+    assert np.count_nonzero(sq) == sum(1 for (i, _) in entries(w) if i < w.domain.size)
 
 
 def test_isometry_gram_identity():
     # CT(W) @ W = I exactly for chain-supported isometric symbols
     for sym in (shift_like(1), shift_like(3, d=2), vacuum_like(np.eye(2))):
         w = build_wl(sym, 3)
-        gram = (w.conjugate_transpose() @ w).toarray()
+        gram = (w.conjugate_transpose().to_csr() @ w.to_csr()).toarray()
         assert np.max(np.abs(gram - np.eye(w.domain.size))) <= 1e-12
 
 
@@ -309,48 +281,67 @@ def _is_canonical(op):
     return csr.has_sorted_indices and csr.has_canonical_format and np.all(csr.data != 0)
 
 
-def test_entry_view_round_trip_is_exact():
+def test_canonical_csr_is_stored_without_copy():
     rng = np.random.default_rng(404)
     for n in (1, 2, 3):
         for _ in range(3):
             sym = random_symbol(rng, n, int(rng.integers(1, 3)), 2)
             for op in (build_wl(sym, 3), build_wl_adjoint(sym, 3)):
-                assert _is_canonical(op)
-                same = FockOperator(op.domain, op.codomain, op.data)
-                assert same.shape == op.shape and same.nnz == op.nnz
+                assert _is_canonical(op) and op.data is op.to_csr()
+                same = FockOperator(op.domain, op.codomain, op.to_csr())
+                assert same.to_csr() is op.to_csr()
+                assert np.shares_memory(same.to_csr().data, op.to_csr().data)
                 assert same.max_abs_diff(op) == 0.0
-                assert same.data == op.data
-                # a plain dict of the same entries builds the same matrix
-                copied = FockOperator(op.domain, op.codomain, dict(op.data.items()))
-                assert _is_canonical(copied)
-                assert copied.data == op.data
-                assert len(op.data) == op.nnz
-                for key, value in op.data.items():
-                    assert key in op.data and op.entry(*key) == value
 
 
-def test_dict_entries_drop_zeros_and_reject_wrong_shape():
+def test_triplets_and_coo_come_out_canonical():
     b = enumerate_basis(2, 1, 1)
-    op = FockOperator(b, b, {(0, 1): 2.0, (1, 1): 0.0, (2, 0): -1j})
-    assert op.nnz == 2 and _is_canonical(op)
-    assert (1, 1) not in op.data and op.entry(1, 1) == 0
-    assert list(op.data) == [(0, 1), (2, 0)]
+    # (0, 1) twice, an explicit zero at (1, 1), columns out of order in row 2
+    rows, cols = np.array([2, 0, 1, 0, 2]), np.array([2, 1, 1, 1, 0])
+    vals = np.array([3.0, 1.5, 0.0, 0.5, -1j])
+    want = {(0, 1): 2.0, (2, 0): -1j, (2, 2): 3.0}
+    for data in ((vals, (rows, cols)), sparse.coo_matrix((vals, (rows, cols)), shape=(3, 3))):
+        op = FockOperator(b, b, data)
+        assert _is_canonical(op) and op.nnz == 3
+        assert entries(op) == want
+        assert op.to_csr().indices.tolist() == [1, 0, 2]
+
+
+def test_wrong_shape_is_rejected():
+    b = enumerate_basis(2, 1, 1)
     wide = build_wl(shift_like(1), 1)
-    with pytest.raises(ValueError):
-        FockOperator(b, b, wide.data)
+    for data in (wide.to_csr(), wide.toarray(), np.eye(2)):
+        with pytest.raises(ValueError):
+            FockOperator(b, b, data)
+
+
+def test_benchmark_relabel_shares_the_adjoint_arrays():
+    # the row prefix keeps 7 of 8 levels: scipy shares a prefix that holds
+    # at least half of the entries, and the relabel itself never copies
+    sym = Symbol(1, 2, {((), 1, 2): 1.0, ((1,), 2, 1): 0.5, ((1,), 1, 1): -0.25j})
+    w = build_wl(sym, 6)
+    star = build_wl_adjoint(sym, 6 + sym.K)
+    ct = w.conjugate_transpose()
+    rows = star.restrict_rows(w.domain.size)
+    relabel = FockOperator(rows.domain, ct.codomain, rows.data)
+    assert relabel.to_csr() is rows.to_csr()
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(relabel.to_csr(), name), getattr(star.to_csr(), name))
+    assert relabel.shape == ct.shape and ct.max_abs_diff(relabel) <= 1e-12
 
 
 def test_products_and_blocks_stay_canonical():
     sym = Symbol(2, 2, {((), 1, 2): 1.0, ((1,), 2, 1): 0.5, ((2, 1), 1, 1): -0.25j})
     w = build_wl(sym, 3)
     ct = w.conjugate_transpose()
-    for op in (ct, ct @ w, w.restrict_rows(w.domain.size), block(w, M, N), block(w, M_PERP, N_PERP)):
+    gram = FockOperator(w.domain, w.domain, ct.to_csr() @ w.to_csr())
+    for op in (ct, gram, w.restrict_rows(w.domain.size), block(w, M, N), block(w, M_PERP, N_PERP)):
         assert _is_canonical(op)
     # a product entry that cancels to an exact zero is not stored
     b = enumerate_basis(1, 1, 1)
-    row = FockOperator(b, b, {(0, 0): 1.0, (0, 1): 1.0})
-    col = FockOperator(b, b, {(0, 0): 1.0, (1, 0): -1.0})
-    assert (row @ col).nnz == 0
+    row = sparse.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    col = sparse.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    assert FockOperator(b, b, row @ col).nnz == 0
 
 
 def _scalar_builds(sym, depth):
@@ -391,5 +382,5 @@ def test_vectorised_builds_match_scalar_reference():
                 sym = random_symbol(rng, n, d, 3)
                 for depth in range(5 if n < 3 else 4):
                     fwd, adj = _scalar_builds(sym, depth)
-                    assert dict(build_wl(sym, depth).data.items()) == fwd
-                    assert dict(build_wl_adjoint(sym, depth).data.items()) == adj
+                    assert entries(build_wl(sym, depth)) == fwd
+                    assert entries(build_wl_adjoint(sym, depth)) == adj

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from odolab import analysis, numerics
@@ -225,7 +226,7 @@ def test_sparse_floor_repeats_from_the_certified_floor_after_a_low_hint(monkeypa
     monkeypatch.setattr(sparse_linalg, "eigsh", recording)
     w = build_wl(build_entry("shift").symbol, 5)
     lam = 3e-9
-    floor = numerics.sparse_sigma_min(w.to_csr() - lam * analysis.inclusion(w).to_csr())
+    floor = numerics.sparse_sigma_min(w.to_csr() - lam * sparse.eye(*w.shape, dtype=complex, format="csr"))
     dense = np.linalg.svd(w.toarray() - lam * np.eye(*w.shape), compute_uv=False)[-1]
     assert seen[0] == numerics.GRAM_SHIFT
     assert len(seen) == 2 and seen[1] == pytest.approx(floor.lower**2, abs=1e-12)

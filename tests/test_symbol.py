@@ -218,20 +218,6 @@ def test_sup_norm_nilpotent_cascade_floor():
     assert hi < 1.0
 
 
-def test_adjoint_apply_pairing_oracle():
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 4))
-        sym = random_symbol(rng, n, d, 2, count=8)
-        basis = enumerate_basis(n, sym.K + 1, d)
-        mat = sym.as_matrix(basis)
-        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        direct = sym.adjoint_apply(v, basis)
-        oracle = mat.conj().T @ v
-        assert np.max(np.abs(direct - oracle)) <= 1e-12
-
-
 def test_as_matrix_layout():
     sym = Symbol(2, 2, {((1,), 2, 1): 3.0, ((), 1, 2): 2.0})
     basis = enumerate_basis(2, 1, 2)
