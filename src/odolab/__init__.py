@@ -20,7 +20,6 @@ from .errors import (
     NotAProjection,
     NotIsometric,
     OdolabError,
-    OffChainSupport,
     OnesChainWord,
     RangeNotContained,
     SpectralUncertified,
@@ -77,7 +76,6 @@ __all__ = [
     "NotAProjection",
     "NotIsometric",
     "OdolabError",
-    "OffChainSupport",
     "OnesChainWord",
     "RangeNotContained",
     "SpectralUncertified",

@@ -127,14 +127,13 @@ def defect(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> DefectBasis
     the caller or by wold_multiplicity.
     """
     d = sym.d
-    ambient = (depth + 1) * d
     chain = _chain_sector(sym, depth)
     shifted, range_cols = chain[:, d:], chain[:, :d]
-    el_basis = orthocomplement_basis(shifted, ambient, tol)
-    defect_basis = orthocomplement_basis(np.hstack([shifted, range_cols]), ambient, tol)
+    el_basis = orthocomplement_basis(shifted, tol)
+    defect_basis = orthocomplement_basis(np.hstack([shifted, range_cols]), tol)
 
     stacked = toeplitz_truncation(sym.theta(), depth + 1).conj().T
-    stacked_kernel_dim = ambient - numerical_rank(stacked, tol)
+    stacked_kernel_dim = chain.shape[0] - numerical_rank(stacked, tol)
 
     # literal E_L minus closure(L E): project the range onto E_L first
     el_minus_range = el_basis.shape[1]
@@ -521,10 +520,9 @@ def classify(
     )
     unitary = unitary_dev <= tol.eps_exact
 
-    # each map is built once: depth D (norm, square floor), D - 1 (square
-    # floor) and min(D, 4) (hyponormality) share one table
+    # the depth-D map serves the norm, the square floor and the
+    # hyponormality probe; the square floor also reads depth D - 1
     w = build_wl(sym, depth)
-    maps = {depth: w}
     invertible = None
     sigma_min_square = None
     if invertibility:
@@ -532,9 +530,8 @@ def classify(
             invertible = is_invertible_hinf(sym.theta(), grid)
         except IdenticallySingular:
             invertible = False
-        if depth >= 1:
-            maps[depth - 1] = build_wl(sym, depth - 1)
-        sigma_min_square = {dd: _square_sigma_min(maps[dd]) for dd in (depth - 1, depth) if dd >= 0}
+        below = [build_wl(sym, depth - 1)] if depth >= 1 else []
+        sigma_min_square = {m.domain.depth: _square_sigma_min(m) for m in below + [w]}
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     defect_dim = basis_defect.dim if isometric else None
@@ -551,9 +548,7 @@ def classify(
     hypo_necessary = None
     hypo_gap = None
     if sym.n >= 2:
-        probe_depth = min(depth, 4)
-        probe_map = maps[probe_depth] if probe_depth in maps else build_wl(sym, probe_depth)
-        probe = _hyponormality_probe(sym, probe_map, tol)
+        probe = _hyponormality_probe(sym, w, tol)
         hypo_necessary = probe.necessary_condition
         hypo_gap = probe.witness_gap
 

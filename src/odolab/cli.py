@@ -134,16 +134,30 @@ def _resolve_depth(args, *syms):
     return 64 if max(sym.n for sym in syms) == 1 else 6
 
 
-def _config(args, source, depth):
-    return {
-        "command": args.command,
-        "source": source,
-        "depth": depth,
-        "tol_exact": args.tol_exact,
-        "tol_rank": args.tol_rank,
-        "grid": args.grid,
-        "seed": args.seed,
-    }
+# config options by destination: flag and argparse keywords.  Each
+# subcommand declares the ones it reads, and its report prints exactly those.
+CONFIG_OPTIONS = {
+    "tol_exact": ("--tol-exact", {"type": float, "default": DEFAULT_EPS_EXACT}),
+    "tol_rank": ("--tol-rank", {"type": float, "default": DEFAULT_EPS_RANK}),
+    "grid": ("--grid", {"type": int, "default": DEFAULT_BOUNDARY_GRID, "help": "boundary sample count"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+}
+# the two tolerances go together even where the computation reads only one:
+# Tolerance rejects eps_exact > eps_rank, so without --tol-rank no
+# --tol-exact above the default eps_rank could be set.  An option marked
+# benchmark-pinned in build_parser is not read either; the benchmark's
+# in-process CLI calls pass it.
+TOLERANCES = ("tol_exact", "tol_rank")
+
+
+def _config(args, source, depth=None):
+    # the command, its input, the depth where --depth exists, and exactly
+    # the config options the subcommand declares
+    config = {"command": args.command, "source": source}
+    if depth is not None:
+        config["depth"] = depth
+    config.update((key, getattr(args, key)) for key in CONFIG_OPTIONS if hasattr(args, key))
+    return config
 
 
 def _tol(args) -> Tolerance:
@@ -213,7 +227,7 @@ def cmd_symbol(args):
         result = {"is_inner": res.is_inner, "deviation": res.deviation}
     else:
         result = {"invertible": is_invertible_hinf(theta, grid=args.grid)}
-    _emit({"config": _config(args, source, 0), "report": result}, args)
+    _emit({"config": _config(args, source), "report": result}, args)
     return 0
 
 
@@ -236,7 +250,7 @@ def cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name, args.seed) for name in names]
     payload = {
-        "config": _config(args, "builtin", 0),
+        "config": _config(args, "builtin"),
         "suites": [rep.to_dict() for rep in reports],
         "passed": all(rep.passed for rep in reports),
     }
@@ -265,20 +279,19 @@ def cmd_dump(args):
     return 0
 
 
-def _add_common(sub, inputs=True, depth=True, config=True, fmt=True):
+def _add_common(sub, inputs=True, depth=True, config=(), fmt=True):
     """Add the options a subcommand reads: the symbol input, the depth,
-    the config it reports (tolerances, grid, seed), the format, and --out."""
+    the config options it reports (names in CONFIG_OPTIONS), the format,
+    and --out."""
     if inputs:
         sub.add_argument("file", nargs="?", help="symbol JSON file")
         sub.add_argument("--gallery", help="build the input from a gallery entry instead of a file")
         sub.add_argument("--param", action="append", help="gallery parameter key=value, repeatable")
     if depth:
         sub.add_argument("--depth", type=int, default=None, help="truncation depth (default 6, or 64 when n=1)")
-    if config:
-        sub.add_argument("--tol-exact", type=float, default=DEFAULT_EPS_EXACT, dest="tol_exact")
-        sub.add_argument("--tol-rank", type=float, default=DEFAULT_EPS_RANK, dest="tol_rank")
-        sub.add_argument("--grid", type=int, default=DEFAULT_BOUNDARY_GRID, help="boundary sample count")
-        sub.add_argument("--seed", type=int, default=0)
+    for key in config:
+        flag, kwargs = CONFIG_OPTIONS[key]
+        sub.add_argument(flag, dest=key, **kwargs)
     if fmt:
         sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", help="write the report to this file instead of stdout")
@@ -294,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("classify", help="full structural report for one symbol")
     sub.add_argument("--invertibility", action=argparse.BooleanOptionalAction, default=True,
                      help="run the boundary winding test (on by default)")
-    _add_common(sub)
+    _add_common(sub, config=TOLERANCES + ("grid", "seed"))  # --seed: benchmark-pinned
     sub.set_defaults(func=_report(_classify))
 
     sub = subs.add_parser("symbol", help="questions about the analytic symbol alone")
@@ -303,50 +316,50 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--supnorm", action="store_true", help="boundary sup bracket")
     group.add_argument("--inner", action="store_true", help="exact isometry test")
     group.add_argument("--invertible", action="store_true", help="winding-based invertibility verdict")
-    _add_common(sub, depth=False)
+    _add_common(sub, depth=False, config=TOLERANCES + ("grid",))
     sub.set_defaults(func=cmd_symbol)
 
     sub = subs.add_parser("defect", help="defect space dimensions and stability")
-    _add_common(sub)
+    _add_common(sub, config=TOLERANCES + ("grid", "seed"))  # --grid, --seed: benchmark-pinned
     sub.set_defaults(func=_report(_defect))
 
     sub = subs.add_parser("norm", help="operator norm vs the closed-form value")
-    _add_common(sub)
+    _add_common(sub, config=TOLERANCES + ("grid", "seed"))  # --seed: benchmark-pinned
     sub.set_defaults(func=_report(_norm))
 
     sub = subs.add_parser("douglas", help="factor the first symbol through the second")
     sub.add_argument("file1")
     sub.add_argument("file2")
-    _add_common(sub, inputs=False)
+    _add_common(sub, inputs=False, config=TOLERANCES + ("grid",))
     sub.set_defaults(func=cmd_douglas)
 
     sub = subs.add_parser("coburn", help="sigma_min floor at points inside the disk")
     sub.add_argument("--at", action="append", help="evaluation point, repeatable (complex literal)")
-    _add_common(sub)
+    _add_common(sub, config=TOLERANCES)
     sub.set_defaults(func=_report(_coburn))
 
     sub = subs.add_parser("hypo", help="hyponormality necessary-condition probe")
-    _add_common(sub)
+    _add_common(sub, config=TOLERANCES)
     sub.set_defaults(func=_report(_hypo))
 
     sub = subs.add_parser("verify", help="run a cross-checking suite")
     sub.add_argument("suite", nargs="?", default="all", choices=("all",) + tuple(sorted(SUITES)))
-    _add_common(sub, inputs=False, depth=False)
+    _add_common(sub, inputs=False, depth=False, config=("seed",))
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("gallery", help="list or build the bundled examples")
     gallery_subs = sub.add_subparsers(dest="action", required=True)
     sub_list = gallery_subs.add_parser("list")
-    _add_common(sub_list, inputs=False, depth=False, config=False)
+    _add_common(sub_list, inputs=False, depth=False)
     sub_list.set_defaults(func=cmd_gallery_list)
     sub_build = gallery_subs.add_parser("build")
     sub_build.add_argument("name", choices=sorted(GALLERY))
     sub_build.add_argument("--param", action="append")
-    _add_common(sub_build, inputs=False, depth=False, config=False, fmt=False)
+    _add_common(sub_build, inputs=False, depth=False, fmt=False)
     sub_build.set_defaults(func=cmd_gallery_build)
 
     sub = subs.add_parser("dump", help="print the matrix of the map in sparse text form")
-    _add_common(sub, config=False, fmt=False)
+    _add_common(sub, fmt=False)
     sub.set_defaults(func=cmd_dump)
 
     return parser

@@ -22,10 +22,6 @@ class OnesChainWord(OdolabError):
     """Predecessor requested for a word consisting only of 1s."""
 
 
-class OffChainSupport(OdolabError):
-    """Vector handed to a chain transport has mass off the chain."""
-
-
 class NotIsometric(OdolabError):
     """Operation whose hypotheses require an isometric odometer map."""
 

@@ -179,10 +179,10 @@ class BasisIndex:
     table is kept.  Slots are 1-based throughout.
     """
 
-    def __init__(self, n: int, depth: int, d: int, cap: int | None = None):
+    def __init__(self, n: int, depth: int, d: int):
         if n < 1 or d < 1 or depth < 0:
             raise ValueError("need n >= 1, d >= 1, depth >= 0")
-        cap = basis_cap() if cap is None else cap
+        cap = basis_cap()
         total = d * word_count(n, depth)
         if total > cap:
             raise CapExceeded(
@@ -228,5 +228,5 @@ class BasisIndex:
         return "BasisIndex(n=%d, depth=%d, d=%d, size=%d)" % (self.n, self.depth, self.d, self.size)
 
 
-def enumerate_basis(n: int, depth: int, d: int, cap: int | None = None) -> BasisIndex:
-    return BasisIndex(n, depth, d, cap=cap)
+def enumerate_basis(n: int, depth: int, d: int) -> BasisIndex:
+    return BasisIndex(n, depth, d)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAProjection
+from .numerics import DEFAULT_EPS_EXACT
 from .symbol import Symbol
 
 GOLDEN_MOEBIUS_POINT = (1.0 - np.sqrt(5.0)) / 2.0  # the negative golden conjugate
@@ -164,13 +165,13 @@ def resolvent_shift_symbol(d: int = 4, r_trunc: int = 12, n: int = 2) -> Gallery
     )
 
 
-def projection_symbol(p, n: int = 2, tol: float = 1e-10) -> GalleryEntry:
+def projection_symbol(p, n: int = 2) -> GalleryEntry:
     """L = vacuum on the complement of P plus the 1-shift on ran P."""
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise NotAProjection("need a square matrix")
-    if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
-        raise NotAProjection("matrix fails P = P* = P^2 within %g" % tol)
+    if max(np.max(np.abs(p - p.conj().T)), np.max(np.abs(p @ p - p))) > DEFAULT_EPS_EXACT:
+        raise NotAProjection("matrix fails P = P* = P^2 within %g" % DEFAULT_EPS_EXACT)
     d = p.shape[0]
     comp = np.eye(d) - p
     entries = {}

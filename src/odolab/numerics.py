@@ -187,7 +187,7 @@ def least_squares(b, a):
     return x, residual
 
 
-def orthocomplement_basis(cols, ambient: int, tol: Tolerance = DEFAULT_TOL):
+def orthocomplement_basis(cols, tol: Tolerance = DEFAULT_TOL):
     """Orthonormal basis of the orthogonal complement of the column span.
 
     cols is an (ambient, k) array; with k = 0 the full standard basis
@@ -195,10 +195,10 @@ def orthocomplement_basis(cols, ambient: int, tol: Tolerance = DEFAULT_TOL):
     orthonormal columns.
     """
     cols = np.asarray(cols, dtype=complex)
-    if cols.ndim != 2 or cols.shape[0] != ambient:
-        raise ValueError("columns of shape %r for ambient %d" % (cols.shape, ambient))
+    if cols.ndim != 2:
+        raise ValueError("columns of shape %r, need a 2-D array" % (cols.shape,))
     if cols.shape[1] == 0:
-        return np.eye(ambient, dtype=complex)
+        return np.eye(cols.shape[0], dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=True)
     return u[:, _rank_cut(s, tol):]
 

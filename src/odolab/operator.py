@@ -105,17 +105,16 @@ def _triplets(parts, shape):
 class FockOperator:
     """Sparse matrix between two indexed bases, entries kept exactly.
 
-    data is None (the zero map) or anything sparse.csr_matrix accepts.  A
-    canonical complex CSR matrix of the right shape is stored as given,
-    not copied; anything else is converted and made canonical in place.
+    data is anything sparse.csr_matrix accepts.  A canonical complex CSR
+    matrix of the right shape is stored as given, not copied; anything
+    else is converted and made canonical in place.
     .data is the stored matrix, as is to_csr(); treat it as read-only.
     """
 
-    def __init__(self, domain, codomain, data=None):
+    def __init__(self, domain, codomain, data):
         self.domain = domain
         self.codomain = codomain
-        shape = (codomain.size, domain.size)
-        self.data = _canonical(shape if data is None else data, shape)
+        self.data = _canonical(data, (codomain.size, domain.size))
 
     @property
     def shape(self):
@@ -319,8 +318,7 @@ def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
 
 def dump_lines(w: FockOperator, sym: Symbol) -> list:
     """Text dump: header '# n d D Dcod', then 'row col re im' per entry."""
-    dcod = getattr(w.codomain, "depth", w.domain.depth)
-    lines = ["# %d %d %d %d" % (sym.n, sym.d, w.domain.depth, dcod)]
+    lines = ["# %d %d %d %d" % (sym.n, sym.d, w.domain.depth, w.codomain.depth)]
     coo = w.to_csr().tocoo()
     for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
         lines.append("%d %d %.17g %.17g" % (i, j, v.real, v.imag))

@@ -41,9 +41,6 @@ class SuiteCheck:
     threshold: float
     passed: bool
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SuiteReport:
@@ -128,11 +125,11 @@ def _adjoint_mismatch(sym: Symbol, depth: int) -> float:
     return w.conjugate_transpose().max_abs_diff(star.restrict_rows(w.domain.size))
 
 
-def verify_adjoint(seed: int = 0, random_count: int = 25) -> SuiteReport:
+def verify_adjoint(seed: int = 0) -> SuiteReport:
     """Conjugate transpose of the forward build vs the closed-form adjoint."""
     rng = np.random.default_rng(seed)
     report = SuiteReport("adjoint", seed)
-    for label, sym, depth in sweep_cases() + _random_cases(rng, random_count):
+    for label, sym, depth in sweep_cases() + _random_cases(rng, 25):
         gap = _adjoint_mismatch(sym, depth)
         report.checks.append(SuiteCheck("adjoint", label, "max_entry_gap", gap, 1e-12, gap <= 1e-12))
     return report
@@ -146,12 +143,12 @@ def _toeplitz_gap(sym: Symbol, depth: int) -> float:
     t = toeplitz_truncation(sym.theta(), depth + 1)
     return float(np.max(np.abs(cut - t))) if cut.size else 0.0
 
-def verify_toeplitz(seed: int = 0, random_count: int = 12) -> SuiteReport:
+def verify_toeplitz(seed: int = 0) -> SuiteReport:
     """Chain-sector compression, transported to power coordinates, vs the
     lower-triangular block Toeplitz truncation of the symbol."""
     rng = np.random.default_rng(seed)
     report = SuiteReport("toeplitz", seed)
-    for label, sym, depth in sweep_cases() + _random_cases(rng, random_count):
+    for label, sym, depth in sweep_cases() + _random_cases(rng, 12):
         gap = _toeplitz_gap(sym, depth)
         report.checks.append(SuiteCheck("toeplitz", label, "max_entry_gap", gap, 1e-12, gap <= 1e-12))
     return report

@@ -21,6 +21,7 @@ from odolab.errors import BoundaryZeroSuspected, NotIsometric, RangeNotContained
 from odolab.numerics import numerical_rank
 from odolab.operator import build_wl, toeplitz_truncation
 from odolab.symbol import Symbol
+from odolab.verify import random_symbol
 
 
 def shift_like(k, n=2, d=1):
@@ -96,17 +97,6 @@ def _scalar_stacked(sym, depth):
                 for q in range(1, d + 1):
                     out[p * d + (q - 1), m * d + (s - 1)] = np.conj(sym.entry((1,) * (m - p), s, q))
     return out
-
-
-def random_symbol(rng, n, d, max_len, count=6):
-    entries = {}
-    for _ in range(count):
-        m = int(rng.integers(0, max_len + 1))
-        word = tuple(int(a) for a in rng.integers(1, n + 1, size=m))
-        s = int(rng.integers(1, d + 1))
-        q = int(rng.integers(1, d + 1))
-        entries[(word, s, q)] = complex(rng.standard_normal(), rng.standard_normal())
-    return Symbol(n, d, entries)
 
 
 def test_chain_routes_match_scalar_reference():
@@ -394,8 +384,8 @@ def test_classify_depth_zero():
 
 
 def test_classify_builds_each_depth_once(monkeypatch):
-    # sigma_min_square and the norm share the depth-D map; the hyponormality
-    # probe builds its own at min(depth, 4)
+    # sigma_min_square, the norm and the hyponormality probe share the
+    # depth-D map; the square floor also builds depth D - 1
     calls = []
     original = analysis.build_wl
 
@@ -406,12 +396,12 @@ def test_classify_builds_each_depth_once(monkeypatch):
     monkeypatch.setattr(analysis, "build_wl", counted)
     sym = shift_like(1)
     rep = classify(sym, 6)
-    assert sorted(calls) == [4, 5, 6]
+    assert sorted(calls) == [5, 6]
     assert rep.norm == norm_report(sym, 6)
 
 
 def test_classify_shares_its_maps_with_the_hyponormality_probe(monkeypatch):
-    # the probe reads the depth-D or depth D - 1 map classify already built
+    # the probe reads the depth-D map classify already built
     calls = []
     original = analysis.build_wl
 
@@ -425,7 +415,7 @@ def test_classify_shares_its_maps_with_the_hyponormality_probe(monkeypatch):
         calls.clear()
         rep = classify(sym, depth)
         assert calls == built
-        assert rep.hypo_gap == hyponormality_probe(sym, min(depth, 4)).witness_gap
+        assert rep.hypo_gap == hyponormality_probe(sym, depth).witness_gap
     calls.clear()
     rep = classify(hypo_like(), 3, invertibility=False)
     assert calls == [3]

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from odolab import cli
-from odolab.cli import main
-from odolab.numerics import DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK
+from odolab.cli import build_parser, main
+from odolab.numerics import DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK, Tolerance
 from odolab.symbol import DEFAULT_BOUNDARY_GRID, Symbol, load_symbol, save_symbol
 
 
@@ -204,9 +204,18 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
     ["gallery", "build", "shift", "--format", "json"],
     ["symbol", "--gallery", "shift", "--inner", "--depth", "3"],
     ["verify", "wold", "--depth", "3"],
+    ["symbol", "--gallery", "shift", "--inner", "--seed", "1"],
+    ["douglas", "{file}", "{file}", "--seed", "1"],
+    ["coburn", "--gallery", "shift", "--grid", "64"],
+    ["coburn", "--gallery", "shift", "--seed", "1"],
+    ["hypo", "--gallery", "shift", "--grid", "64"],
+    ["hypo", "--gallery", "shift", "--seed", "1"],
+    ["verify", "wold", "--tol-exact", "1e-9"],
+    ["verify", "wold", "--tol-rank", "1e-7"],
+    ["verify", "wold", "--grid", "64"],
 ])
-def test_options_a_command_does_not_read_are_refused(capsys, argv):
-    code, out = run(capsys, *argv)
+def test_options_a_command_does_not_read_are_refused(capsys, one_plus_z, argv):
+    code, out = run(capsys, *[arg.format(file=one_plus_z) for arg in argv])
     assert code == 1 and out == ""
 
 
@@ -238,3 +247,85 @@ def test_douglas_samples_the_grid_it_reports(capsys, monkeypatch, one_plus_z):
     assert json.loads(out)["config"]["grid"] == 64
     code, _out = run(capsys, "douglas", one_plus_z, one_plus_z, "--theta-grid", "64")
     assert code == 1
+
+
+class ReadTolerance(Tolerance):
+    """A Tolerance that records which of its thresholds get read."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "read", set())
+        super().__post_init__()
+        self.read.clear()
+
+    def __getattribute__(self, name):
+        if name.startswith("eps_"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+SET = {"tol_exact": 1e-9, "tol_rank": 1e-7, "grid": 512, "seed": 17}
+
+# (argv, the library entry point its report comes from); every config
+# option a subcommand declares is set to the non-default value in SET
+READ_CASES = [
+    (["classify", "--gallery", "shift"], "classify"),
+    (["symbol", "--gallery", "shift", "--inner"], "is_inner_exact"),
+    (["symbol", "--gallery", "shift", "--supnorm"], "sup_norm"),
+    (["defect", "--gallery", "shift"], "defect_with_stability"),
+    (["norm", "--gallery", "shift"], "norm_report"),
+    (["douglas", "{file}", "{file}"], "douglas_factor"),
+    (["coburn", "--gallery", "shift", "--at", "0.5"], "coburn_bound"),
+    (["hypo", "--gallery", "shift"], "hyponormality_probe"),
+    (["verify", "wold"], "run_suite"),
+]
+# declared but never read, each for a stated reason: the benchmark's
+# in-process CLI calls pass these ...
+BENCHMARK_PINNED = {("classify", "seed"), ("defect", "grid"), ("defect", "seed"), ("norm", "seed")}
+# ... and the tolerances come as a pair, where the computation reads one
+TOLERANCE_PAIRED = {("symbol", "tol_rank"), ("defect", "tol_exact"), ("norm", "tol_rank"),
+                    ("coburn", "tol_rank"), ("hypo", "tol_rank")}
+
+
+def _subcommands():
+    subs = build_parser()._subparsers._group_actions[0].choices
+    return {name: {action.dest for action in sub._actions} for name, sub in subs.items()}
+
+
+def test_every_config_option_a_report_prints_reaches_its_computation(capsys, monkeypatch, one_plus_z):
+    monkeypatch.setattr(cli, "Tolerance", ReadTolerance)
+    subcommands = _subcommands()
+    reached = {}
+    for argv, entry in READ_CASES:
+        command = argv[0]
+        dests = subcommands[command]
+        declared = dests & set(cli.CONFIG_OPTIONS)
+        options = [arg for key in sorted(declared) for arg in (cli.CONFIG_OPTIONS[key][0], str(SET[key]))]
+        calls = []
+        real = getattr(cli, entry)
+
+        def spy(*args, real=real, **kwargs):
+            calls.append(args + tuple(kwargs.values()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, entry, spy)
+        depth = ["--depth", "2"] if "depth" in dests else []
+        code, out = run(capsys, *[arg.format(file=one_plus_z) for arg in argv], *depth, *options)
+        assert code == 0 and len(calls) == 1
+        config = json.loads(out)["config"]
+        assert config == {"command": command, "source": config["source"],
+                          **({"depth": 2} if "depth" in dests else {}),
+                          **{key: SET[key] for key in declared}}
+        seen = reached.setdefault(command, set())
+        for value in calls[0]:
+            if isinstance(value, ReadTolerance):
+                seen.update("tol" + name[3:] for name in value.read)
+                assert (value.eps_exact, value.eps_rank) == (SET["tol_exact"], SET["tol_rank"])
+            seen.update(key for key in ("grid", "seed") if value == SET[key])
+        assert ("tol_exact" in declared) == ("tol_rank" in declared)
+    for command, seen in reached.items():
+        unread = (subcommands[command] & set(cli.CONFIG_OPTIONS)) - seen
+        assert unread == {key for cmd, key in BENCHMARK_PINNED | TOLERANCE_PAIRED if cmd == command}
+    # the commands without a config block declare no config option
+    for command, dests in subcommands.items():
+        if command not in reached:
+            assert not dests & set(cli.CONFIG_OPTIONS)

@@ -129,13 +129,14 @@ def test_basis_prefix_property():
         assert shallow.pair(i) == deep.pair(i)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
     assert enumerate_basis(3, 10, 1).size == 88573
     with pytest.raises(CapExceeded):
         enumerate_basis(3, 11, 1)
-    # explicit cap overrides the default
+    # ODOLAB_CAP overrides the default
+    monkeypatch.setenv("ODOLAB_CAP", "10")
     with pytest.raises(CapExceeded):
-        enumerate_basis(2, 3, 1, cap=10)
+        enumerate_basis(2, 3, 1)
 
 
 def test_cap_env_override(monkeypatch):

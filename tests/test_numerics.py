@@ -93,7 +93,7 @@ def test_rank_and_orthocomplement_share_the_cut():
     v = np.linalg.qr(rand_matrix(rng, 3, 3))[0]
     a = u[:, :3] @ np.diag([1.0, 1e-7, 1e-9]) @ v.conj().T
     for tol in (Tolerance(), Tolerance(eps_rank=1e-6), Tolerance(eps_exact=1e-12, eps_rank=1e-10)):
-        assert numerical_rank(a, tol) + orthocomplement_basis(a, 5, tol).shape[1] == 5
+        assert numerical_rank(a, tol) + orthocomplement_basis(a, tol).shape[1] == 5
     assert numerical_rank(a) == 2
 
 
@@ -116,7 +116,7 @@ def test_least_squares_exact_solve():
 
 
 def test_orthocomplement_empty_input():
-    q = orthocomplement_basis(np.zeros((3, 0)), 3)
+    q = orthocomplement_basis(np.zeros((3, 0)))
     assert q.shape == (3, 3)
     assert np.max(np.abs(q.conj().T @ q - np.eye(3))) <= 1e-12
 
@@ -128,7 +128,7 @@ def test_orthocomplement_properties():
         k = int(rng.integers(1, ambient + 1))
         vecs = [rand_matrix(rng, ambient, 1).ravel() for _ in range(k)]
         m = np.column_stack(vecs)
-        q = orthocomplement_basis(m, ambient)
+        q = orthocomplement_basis(m)
         r = np.linalg.matrix_rank(m, tol=1e-10)
         assert q.shape == (ambient, ambient - r)
         if q.shape[1]:

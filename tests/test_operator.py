@@ -23,6 +23,7 @@ from odolab.operator import (
     toeplitz_truncation,
 )
 from odolab.symbol import Symbol
+from odolab.verify import random_symbol
 
 M, M_PERP, N, N_PERP = (
     SubspaceSelector.M,
@@ -45,17 +46,6 @@ def vacuum_like(u, n=2):
 def entries(op):
     """The stored entries as a {(row, col): value} dict."""
     return dict(op.to_csr().todok())
-
-
-def random_symbol(rng, n, d, max_len, count=6):
-    entries = {}
-    for _ in range(count):
-        m = int(rng.integers(0, max_len + 1))
-        word = tuple(int(a) for a in rng.integers(1, n + 1, size=m))
-        s = int(rng.integers(1, d + 1))
-        q = int(rng.integers(1, d + 1))
-        entries[(word, s, q)] = complex(rng.standard_normal(), rng.standard_normal())
-    return Symbol(n, d, entries)
 
 
 def adjoint_mismatch(sym, depth):

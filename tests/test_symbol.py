@@ -20,6 +20,7 @@ from odolab.symbol import (
     symbol_from_dict,
     symbol_to_dict,
 )
+from odolab.verify import random_symbol
 
 
 def scalar_symbol(n, pairs):
@@ -36,17 +37,6 @@ def moebius_like(a, R, n=2):
     for r in range(1, R + 1):
         entries[((1,) * r, 1, 1)] = (1 - abs(a) ** 2) * np.conj(a) ** (r - 1)
     return Symbol(n, 1, entries)
-
-
-def random_symbol(rng, n, d, max_len, count=6):
-    entries = {}
-    for _ in range(count):
-        m = int(rng.integers(0, max_len + 1))
-        word = tuple(int(a) for a in rng.integers(1, n + 1, size=m))
-        s = int(rng.integers(1, d + 1))
-        q = int(rng.integers(1, d + 1))
-        entries[(word, s, q)] = complex(rng.standard_normal(), rng.standard_normal())
-    return Symbol(n, d, entries)
 
 
 def test_symbol_validation():
