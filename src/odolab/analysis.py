@@ -25,8 +25,8 @@ from scipy import sparse
 from . import fock
 from .errors import DefectUnstable, IdenticallySingular, NotIsometric, RangeNotContained
 from .numerics import (
-    DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm, orthocomplement_basis, sigma_min,
-    sparse_sigma_min,
+    DEFAULT_BOUNDARY_GRID, DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm,
+    orthocomplement_basis, sigma_min, sparse_sigma_min,
 )
 from .operator import (
     FockOperator,
@@ -38,7 +38,6 @@ from .operator import (
     toeplitz_truncation,
 )
 from .symbol import (
-    DEFAULT_BOUNDARY_GRID,
     Symbol,
     is_inner_exact,
     is_invertible_hinf,
@@ -520,8 +519,8 @@ def classify(
     )
     unitary = unitary_dev <= tol.eps_exact
 
-    # the depth-D map serves the norm, the square floor and the
-    # hyponormality probe; the square floor also reads depth D - 1
+    # the depth-D map serves the norm, the square floors at depths D - 1
+    # and D and the hyponormality probe
     w = build_wl(sym, depth)
     invertible = None
     sigma_min_square = None
@@ -530,8 +529,13 @@ def classify(
             invertible = is_invertible_hinf(sym.theta(), grid)
         except IdenticallySingular:
             invertible = False
-        below = [build_wl(sym, depth - 1)] if depth >= 1 else []
-        sigma_min_square = {m.domain.depth: _square_sigma_min(m) for m in below + [w]}
+        sigma_min_square = {}
+        for m in range(max(depth - 1, 0), depth + 1):
+            # deeper bases extend shallower ones by index, so the leading
+            # block of w is the depth-m map
+            basis = fock.enumerate_basis(sym.n, m, sym.d)
+            square = FockOperator(basis, basis, w.data[: basis.size, : basis.size])
+            sigma_min_square[m] = _square_sigma_min(square)
 
     basis_defect, stable, _ = defect_with_stability(sym, max(depth, 1), tol)
     defect_dim = basis_defect.dim if isometric else None

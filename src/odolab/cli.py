@@ -26,10 +26,9 @@ from .analysis import (
 )
 from .errors import CertificateError, OdolabError, RangeNotContained
 from .gallery import build_entry, gallery_names, GALLERY
-from .numerics import DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK, Tolerance
+from .numerics import DEFAULT_BOUNDARY_GRID, DEFAULT_EPS_EXACT, DEFAULT_EPS_RANK, Tolerance
 from .operator import build_wl, dump_lines
 from .symbol import (
-    DEFAULT_BOUNDARY_GRID,
     is_inner_exact,
     is_invertible_hinf,
     load_symbol,

@@ -16,7 +16,7 @@ from .errors import BoundaryZeroSuspected, SpectralUncertified
 
 DEFAULT_EPS_EXACT = 1e-10
 DEFAULT_EPS_RANK = 1e-8
-DEFAULT_WINDING_GRID = 8192
+DEFAULT_BOUNDARY_GRID = 4096
 GRAM_SHIFT = -1e-3
 
 
@@ -203,7 +203,7 @@ def orthocomplement_basis(cols, tol: Tolerance = DEFAULT_TOL):
     return u[:, _rank_cut(s, tol):]
 
 
-def winding_number(coeffs, grid_size: int = DEFAULT_WINDING_GRID) -> int:
+def winding_number(coeffs, grid_size: int = DEFAULT_BOUNDARY_GRID) -> int:
     """Number of roots of sum_r coeffs[r] z^r strictly inside the unit disk.
 
     Argument principle on a uniform grid over the circle.  Safe only when

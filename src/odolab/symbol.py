@@ -17,9 +17,7 @@ import numpy as np
 
 from . import fock, numerics
 from .errors import IdenticallySingular, SymbolFormatError
-from .numerics import DEFAULT_TOL, Tolerance
-
-DEFAULT_BOUNDARY_GRID = 4096
+from .numerics import DEFAULT_BOUNDARY_GRID, DEFAULT_TOL, Tolerance
 
 
 class Symbol:
@@ -80,9 +78,8 @@ class Symbol:
             m[basis.index(word, s), q - 1] = value
         return m
 
-    def matrix(self, depth: int | None = None) -> np.ndarray:
-        depth = self.K if depth is None else max(depth, self.K)
-        return self.as_matrix(fock.enumerate_basis(self.n, depth, self.d))
+    def matrix(self) -> np.ndarray:
+        return self.as_matrix(fock.enumerate_basis(self.n, self.K, self.d))
 
     def coefficient_operator(self, r: int) -> np.ndarray:
         """d x d block read off the 1-chain of length r."""

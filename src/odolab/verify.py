@@ -45,7 +45,6 @@ class SuiteCheck:
 @dataclass
 class SuiteReport:
     suite: str
-    seed: int
     checks: list = field(default_factory=list)
 
     @property
@@ -128,7 +127,7 @@ def _adjoint_mismatch(sym: Symbol, depth: int) -> float:
 def verify_adjoint(seed: int = 0) -> SuiteReport:
     """Conjugate transpose of the forward build vs the closed-form adjoint."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("adjoint", seed)
+    report = SuiteReport("adjoint")
     for label, sym, depth in sweep_cases() + _random_cases(rng, 25):
         gap = _adjoint_mismatch(sym, depth)
         report.checks.append(SuiteCheck("adjoint", label, "max_entry_gap", gap, 1e-12, gap <= 1e-12))
@@ -147,7 +146,7 @@ def verify_toeplitz(seed: int = 0) -> SuiteReport:
     """Chain-sector compression, transported to power coordinates, vs the
     lower-triangular block Toeplitz truncation of the symbol."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("toeplitz", seed)
+    report = SuiteReport("toeplitz")
     for label, sym, depth in sweep_cases() + _random_cases(rng, 12):
         gap = _toeplitz_gap(sym, depth)
         report.checks.append(SuiteCheck("toeplitz", label, "max_entry_gap", gap, 1e-12, gap <= 1e-12))
@@ -158,7 +157,7 @@ def verify_douglas(seed: int = 0) -> SuiteReport:
     """Factorization through an isometry: recover a planted factor, accept
     self-factoring with the identity, refuse a range violation."""
     rng = np.random.default_rng(seed)
-    report = SuiteReport("douglas", seed)
+    report = SuiteReport("douglas")
 
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     l2 = build_entry("shift", k=1, d=2).symbol
@@ -187,7 +186,7 @@ def verify_douglas(seed: int = 0) -> SuiteReport:
 
 def verify_coburn(seed: int = 0) -> SuiteReport:
     """Lower bound sigma_min(W - lambda incl) >= 1 - |lambda| on isometric cases."""
-    report = SuiteReport("coburn", seed)
+    report = SuiteReport("coburn")
     for label, sym, depth in _isometric_cases():
         for pt in coburn_bound(sym, depth, DEFAULT_COBURN_POINTS):
             margin = pt.sigma_min - pt.floor
@@ -198,7 +197,7 @@ def verify_coburn(seed: int = 0) -> SuiteReport:
 
 def verify_wold(seed: int = 0) -> SuiteReport:
     """Shift multiplicity read off the operator vs read off the symbol."""
-    report = SuiteReport("wold", seed)
+    report = SuiteReport("wold")
     tol = Tolerance()
     for label, sym, depth in _isometric_cases():
         mult_wl, mult_mtheta = wold_multiplicity(sym, depth, tol)
@@ -207,6 +206,7 @@ def verify_wold(seed: int = 0) -> SuiteReport:
     return report
 
 
+# every suite takes the run's seed; coburn and wold run fixed cases only
 SUITES = {
     "adjoint": verify_adjoint,
     "toeplitz": verify_toeplitz,

@@ -384,8 +384,8 @@ def test_classify_depth_zero():
 
 
 def test_classify_builds_each_depth_once(monkeypatch):
-    # sigma_min_square, the norm and the hyponormality probe share the
-    # depth-D map; the square floor also builds depth D - 1
+    # sigma_min_square at depths D - 1 and D, the norm and the
+    # hyponormality probe share the depth-D map
     calls = []
     original = analysis.build_wl
 
@@ -396,7 +396,7 @@ def test_classify_builds_each_depth_once(monkeypatch):
     monkeypatch.setattr(analysis, "build_wl", counted)
     sym = shift_like(1)
     rep = classify(sym, 6)
-    assert sorted(calls) == [5, 6]
+    assert sorted(calls) == [6]
     assert rep.norm == norm_report(sym, 6)
 
 
@@ -411,10 +411,10 @@ def test_classify_shares_its_maps_with_the_hyponormality_probe(monkeypatch):
 
     monkeypatch.setattr(analysis, "build_wl", counted)
     sym = shift_like(1)
-    for depth, built in ((4, [4, 3]), (5, [5, 4]), (2, [2, 1])):
+    for depth in (4, 5, 2):
         calls.clear()
         rep = classify(sym, depth)
-        assert calls == built
+        assert calls == [depth]
         assert rep.hypo_gap == hyponormality_probe(sym, depth).witness_gap
     calls.clear()
     rep = classify(hypo_like(), 3, invertibility=False)
