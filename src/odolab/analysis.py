@@ -31,7 +31,6 @@ from .numerics import (
 from .operator import (
     FockOperator,
     SubspaceSelector,
-    _symbol_arrays,
     build_wl,
     build_wl_adjoint,
     carry_singular_values,
@@ -73,9 +72,11 @@ class DefectBasis:
     shifted range (shifts p >= 1); columns of defect_basis also quotient
     out the range itself (shifts p >= 0), which is the adjoint kernel in
     general.  Each comes from one full SVD of its column block.
-    el_minus_range_dim is the literal orthogonal difference, the rank of
-    the range projected onto el_basis (a value-only SVD), which only has
-    to match defect_dim when the map is isometric.
+    el_minus_range_dim is the literal orthogonal difference, el_dim less
+    the rank of the range projected onto el_basis (a value-only SVD).  As
+    E_L meet (LE)-perp is (shifted + range)-perp, it equals defect_dim for
+    every symbol in exact arithmetic: a second rank cut of one count, not
+    a check that only isometric maps pass.
     The analytic side (route two) is stacked_matrix, the adjoint T_Theta*
     of the block Toeplitz truncation of the symbol; stacked_kernel_dim
     recomputes the defect dimension as its kernel dimension (a value-only
@@ -105,7 +106,7 @@ def _chain_sector(sym: Symbol, depth: int) -> np.ndarray:
     # the 1-chain word 1^r (word value 0) lands on row (p + r, s) of
     # column (p, q)
     d = sym.d
-    length, value, s, q, coeff = _symbol_arrays(sym)
+    length, value, s, q, coeff = sym.arrays
     p = np.arange(depth + 1)[:, None]
     fits = (value == 0) & (p + length <= depth)
     p, length, s, q, coeff = (np.broadcast_to(a, fits.shape)[fits] for a in (p, length, s, q, coeff))
@@ -510,7 +511,7 @@ def classify(
     isometric = iso_dev <= tol.eps_exact
 
     off_vacuum = max((abs(value) for (word, _, _), value in sym.entries.items() if word), default=0.0)
-    l0 = sym.coefficient_operator(0)
+    l0 = sym.theta().coefficient(0)
     eye = np.eye(sym.d)
     unitary_dev = max(
         off_vacuum,

@@ -134,7 +134,8 @@ def _resolve_depth(args, *syms):
 
 
 # config options by destination: flag and argparse keywords.  Each
-# subcommand declares the ones it reads, and its report prints exactly those.
+# subcommand declares the ones it reads, and its report prints exactly those;
+# a symbol action prints only the ones it read.
 CONFIG_OPTIONS = {
     "tol_exact": ("--tol-exact", {"type": float, "default": DEFAULT_EPS_EXACT}),
     "tol_rank": ("--tol-rank", {"type": float, "default": DEFAULT_EPS_RANK}),
@@ -213,20 +214,23 @@ def cmd_symbol(args):
     sym, source = _load_input(args)
     theta = sym.theta()
     if args.theta:
+        read = ()
         result = {
             "dim": theta.dim,
             "degree": theta.degree,
-            "coeffs": [theta.coefficient(r) for r in range(theta.degree + 1)],
+            "coeffs": theta.coeffs,
         }
     elif args.supnorm:
         lo, hi = sup_norm(theta, grid=args.grid)
-        result = {"lower": lo, "upper": hi}
+        read, result = ("grid",), {"lower": lo, "upper": hi}
     elif args.inner:
         res = is_inner_exact(theta, _tol(args))
-        result = {"is_inner": res.is_inner, "deviation": res.deviation}
+        read, result = TOLERANCES, {"is_inner": res.is_inner, "deviation": res.deviation}
     else:
-        result = {"invertible": is_invertible_hinf(theta, grid=args.grid)}
-    _emit({"config": _config(args, source), "report": result}, args)
+        read, result = ("grid",), {"invertible": is_invertible_hinf(theta, grid=args.grid)}
+    config = {key: value for key, value in _config(args, source).items()
+              if key not in CONFIG_OPTIONS or key in read}
+    _emit({"config": config, "report": result}, args)
     return 0
 
 

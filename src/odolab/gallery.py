@@ -90,14 +90,17 @@ def shift(k: int = 1, n: int = 2, d: int = 1) -> GalleryEntry:
     )
 
 
-def vacuum(d: int = 2, phases=None, n: int = 2) -> GalleryEntry:
+def vacuum(d: int | None = None, phases=None, n: int = 2) -> GalleryEntry:
     """L = vacuum tensor U, U = I or diag(phases): it relabels the slots at
-    every word, a permutation of the basis when U is unitary."""
+    every word, a permutation of the basis when U is unitary.  d defaults
+    to the number of phases, and to 2 without phases."""
     if phases is None:
-        u = np.eye(d, dtype=complex)
+        u = np.eye(2 if d is None else d, dtype=complex)
     else:
         u = np.diag([complex(p) for p in phases])
-        d = u.shape[0]
+    if d not in (None, len(u)):
+        raise ValueError("d=%d disagrees with %d phases" % (d, len(u)))
+    d = len(u)
     sym = vacuum_symbol(u, n)
     unitary = bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12)
     return GalleryEntry(
@@ -132,6 +135,8 @@ def blaschke(zeros=(0.5, -0.3), R: int = 12, n: int = 2) -> GalleryEntry:
     Inner in the limit; the truncation misses isometry by at most the tail
     bound (max |zero|)^R, exact for a single factor, an estimate for products.
     """
+    if R < 0:
+        raise ValueError("need truncation degree R >= 0, got %d" % R)
     zeros = [complex(a) for a in zeros]
     for a in zeros:
         if abs(a) >= 1:
@@ -160,6 +165,8 @@ def moebius(a: complex | None = None, R: int = 40, n: int = 2) -> GalleryEntry:
     """Single disk automorphism, closed-form coefficients up to degree R:
     c0 = -a, and at the default golden point a = (1 - sqrt 5)/2,
     |c0| = sqrt(2 / (sqrt 5 + 3))."""
+    if R < 0:
+        raise ValueError("need truncation degree R >= 0, got %d" % R)
     a = GOLDEN_MOEBIUS_POINT if a is None else complex(a)
     if abs(a) >= 1:
         raise ValueError("point must lie strictly inside the disk")
@@ -186,6 +193,8 @@ def resolvent_shift(d: int = 4, R: int = 12, n: int = 2) -> GalleryEntry:
     robustly."""
     if d < 2:
         raise ValueError("need d >= 2 for the slot shift to act")
+    if R < 0:
+        raise ValueError("need truncation degree R >= 0, got %d" % R)
     entries = {}
     for q in range(1, d + 1):
         for r in range(0, min(R, d - q) + 1):
@@ -205,6 +214,8 @@ def resolvent_shift(d: int = 4, R: int = 12, n: int = 2) -> GalleryEntry:
 
 def projection(d: int = 3, rank: int = 2, n: int = 2) -> GalleryEntry:
     """projection_symbol of the diagonal projection onto the first rank slots."""
+    if not 0 <= rank <= d:
+        raise ValueError("need 0 <= rank <= d, got rank=%d, d=%d" % (rank, d))
     return projection_symbol(np.diag([1.0] * rank + [0.0] * (d - rank)), n)
 
 

@@ -208,14 +208,6 @@ def _slots(positions, d: int) -> np.ndarray:
     return (np.asarray(positions)[:, None] * d + np.arange(d)).ravel()
 
 
-def _symbol_arrays(sym: Symbol):
-    """Entries of L as parallel arrays: word length, word value, target
-    slot s, source slot q (both 0-based) and coefficient."""
-    rows = [(len(w), fock.word_value(w, sym.n), s - 1, q - 1) for w, s, q in sym.entries]
-    length, value, s, q = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return length, value, s, q, np.array(list(sym.entries.values()), dtype=complex)
-
-
 def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None) -> FockOperator:
     """Forward odometer action on the depth-truncated basis.
 
@@ -238,7 +230,7 @@ def build_wl(sym: Symbol, depth: int, codomain_depth: int | None = None) -> Fock
     m = lengths[src]
     succ = fock.word_count(n, m - 1) + fock.digit_values(fock.carry(digits[src], n), n) // n ** (depth - m)
     # the all-n chain n^m (the vacuum at m = 0) goes to e_1^m tensor L h_q
-    length, value, s, q, coeff = _symbol_arrays(sym)
+    length, value, s, q, coeff = sym.arrays
     m = np.arange(depth + 1)[:, None]
     rows = (fock.word_count(n, m + length - 1) + value) * d + s
     cols = (fock.word_count(n, m) - 1) * d + q
@@ -266,7 +258,7 @@ def build_wl_adjoint(sym: Symbol, depth: int) -> FockOperator:
     src = np.flatnonzero(SubspaceSelector.M.mask(basis)[::d])
     m = lengths[src]
     pred = fock.word_count(n, m - 1) + fock.digit_values(fock.inverse_carry(digits[src], n), n) // n ** (depth - m)
-    length, value, l, q, coeff = _symbol_arrays(sym)
+    length, value, l, q, coeff = sym.arrays
     p = np.arange(depth + 1)[:, None]
     fits = p + length <= depth
     p, length, value, l, q, coeff = (np.broadcast_to(a, fits.shape)[fits] for a in (p, length, value, l, q, coeff))
@@ -307,13 +299,10 @@ def toeplitz_truncation(theta: MatrixPolynomial, size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("size must be positive")
     d = theta.dim
-    out = np.zeros((size * d, size * d), dtype=complex)
-    for r in range(min(theta.degree, size - 1) + 1):
-        c = theta.coefficient(r)
-        for i in range(r, size):
-            j = i - r
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = c
-    return out
+    i, j = np.nonzero(np.tri(size) - np.tri(size, k=-theta.degree - 1))
+    out = np.zeros((size, d, size, d), dtype=complex)
+    out[i, :, j, :] = theta.coeffs[i - j]
+    return out.reshape(size * d, size * d)
 
 
 def dump_lines(w: FockOperator, sym: Symbol) -> list:

@@ -4,8 +4,8 @@ A symbol is the coefficient table of a bounded map L from the coefficient
 space into the truncated Fock tensor, keyed by (word, target slot, source
 slot) with 1-based slots: entries[(mu, s, q)] is the component of L h_q on
 e_mu tensor h_s.  The analytic symbol Theta collects the coefficient
-operators read off the 1-chain words; components on other words never
-reach Theta.
+operators read off the 1-chain words, in its own pass over the table;
+components on other words never reach Theta.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ class Symbol:
 
     entries maps (word, s, q) to a complex value; words are tuples over
     1..n, slots run 1..d.  Exact zeros are dropped at construction.
+    arrays holds them decoded once, as parallel arrays in entries order:
+    word length, base-n word value, 0-based slots s and q, coefficient.
+    K is the symbol depth, the longest word (0 when empty).
     """
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ("n", "d", "entries", "arrays", "K")
 
     def __init__(self, n: int, d: int, entries):
         if n < 1 or d < 1:
@@ -45,13 +48,10 @@ class Symbol:
         self.n = n
         self.d = d
         self.entries = table
-
-    @property
-    def K(self) -> int:
-        """Symbol depth: longest word in the support (0 when empty)."""
-        if not self.entries:
-            return 0
-        return max(len(key[0]) for key in self.entries)
+        rows = [(len(w), fock.word_value(w, n), s - 1, q - 1) for w, s, q in table]
+        length, value, s, q = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        self.arrays = (length, value, s, q, np.array(list(table.values()), dtype=complex))
+        self.K = int(length.max(initial=0))
 
     def entry(self, word, s: int, q: int) -> complex:
         return self.entries.get((tuple(word), s, q), 0.0 + 0.0j)
@@ -61,11 +61,8 @@ class Symbol:
 
     def m_mass(self) -> float:
         """Largest entry modulus over words that leave the 1-chain."""
-        best = 0.0
-        for (word, _, _), value in self.entries.items():
-            if fock.word_in_m0(word):
-                best = max(best, abs(value))
-        return best
+        _, value, _, _, coeff = self.arrays
+        return max([0.0, *map(abs, coeff[value != 0].tolist())])
 
     def as_matrix(self, basis: fock.BasisIndex) -> np.ndarray:
         """Matrix of L against the given Fock basis, one column per slot."""
@@ -73,24 +70,13 @@ class Symbol:
             raise ValueError("basis alphabet/slot count does not match symbol")
         if basis.depth < self.K:
             raise ValueError("basis depth %d below symbol depth %d" % (basis.depth, self.K))
+        length, value, s, q, coeff = self.arrays
         m = np.zeros((basis.size, self.d), dtype=complex)
-        for (word, s, q), value in self.entries.items():
-            m[basis.index(word, s), q - 1] = value
+        m[(fock.word_count(self.n, length - 1) + value) * self.d + s, q] = coeff
         return m
 
     def matrix(self) -> np.ndarray:
         return self.as_matrix(fock.enumerate_basis(self.n, self.K, self.d))
-
-    def coefficient_operator(self, r: int) -> np.ndarray:
-        """d x d block read off the 1-chain of length r."""
-        if r < 0:
-            raise ValueError("negative coefficient index")
-        word = (1,) * r
-        block = np.zeros((self.d, self.d), dtype=complex)
-        for s in range(1, self.d + 1):
-            for q in range(1, self.d + 1):
-                block[s - 1, q - 1] = self.entry(word, s, q)
-        return block
 
     def theta(self) -> "MatrixPolynomial":
         """Analytic symbol: coefficient operators up to the symbol depth.
@@ -98,26 +84,26 @@ class Symbol:
         The degree is forced by the longest supported word, so trailing
         zero blocks appear when only off-chain words reach that length.
         """
-        return MatrixPolynomial([self.coefficient_operator(r) for r in range(self.K + 1)])
+        coeffs = np.zeros((self.K + 1, self.d, self.d), dtype=complex)
+        for (word, s, q), value in self.entries.items():
+            if not fock.word_in_m0(word):
+                coeffs[len(word), s - 1, q - 1] = value
+        return MatrixPolynomial(coeffs)
 
     def __repr__(self):
         return "Symbol(n=%d, d=%d, nnz=%d, K=%d)" % (self.n, self.d, len(self.entries), self.K)
 
 
 class MatrixPolynomial:
-    """Polynomial with d x d matrix coefficients, low degree first."""
+    """Polynomial with d x d matrix coefficients, stacked low degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arrs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if not arrs:
-            raise ValueError("need at least the constant coefficient")
-        d = arrs[0].shape[0]
-        for c in arrs:
-            if c.shape != (d, d):
-                raise ValueError("coefficients must share a square shape")
-        self.coeffs = arrs
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 3 or not coeffs.shape[0] or coeffs.shape[1] != coeffs.shape[2]:
+            raise ValueError("coefficients must stack to shape (degree + 1, d, d), got %r" % (coeffs.shape,))
+        self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
@@ -125,7 +111,7 @@ class MatrixPolynomial:
 
     @property
     def dim(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     def coefficient(self, r: int) -> np.ndarray:
         if 0 <= r < len(self.coeffs):
@@ -144,8 +130,7 @@ class MatrixPolynomial:
         """Values on the uniform circle grid, shape (grid, d, d)."""
         z = np.exp(2j * np.pi * np.arange(grid) / grid)
         powers = z[:, None] ** np.arange(len(self.coeffs))[None, :]
-        stack = np.stack(self.coeffs)  # (deg+1, d, d)
-        return np.tensordot(powers, stack, axes=(1, 0))
+        return np.tensordot(powers, self.coeffs, axes=(1, 0))
 
     def lipschitz_bound(self) -> float:
         """Bound on the angular derivative of the boundary values."""

@@ -18,47 +18,16 @@ from odolab.analysis import (
     wold_multiplicity,
 )
 from odolab.errors import BoundaryZeroSuspected, NotIsometric, RangeNotContained
+from odolab.gallery import diagonal, hypo_counterexample, projection_symbol, shift_symbol, vacuum_symbol
 from odolab.numerics import numerical_rank
 from odolab.operator import build_wl, toeplitz_truncation
 from odolab.symbol import Symbol
 from odolab.verify import random_symbol
 
 
-def shift_like(k, n=2, d=1):
-    return Symbol(n, d, {(((1,) * k), s, s): 1.0 for s in range(1, d + 1)})
-
-
-def vacuum_like(u, n=2):
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    return Symbol(n, d, {((), s, q): u[s - 1, q - 1] for s in range(1, d + 1) for q in range(1, d + 1)})
-
-
-def diagonal_like(d, n=2):
-    return Symbol(n, d, {(((1,) * p), p + 1, p + 1): 1.0 for p in range(d)})
-
-
-def projection_like(diag, n=2):
-    d = len(diag)
-    p = np.diag(np.asarray(diag, dtype=complex))
-    comp = np.eye(d) - p
-    entries = {}
-    for s in range(1, d + 1):
-        for q in range(1, d + 1):
-            if comp[s - 1, q - 1]:
-                entries[((), s, q)] = comp[s - 1, q - 1]
-            if p[s - 1, q - 1]:
-                entries[((1,), s, q)] = p[s - 1, q - 1]
-    return Symbol(n, d, entries)
-
-
-def hypo_like(n=2):
-    return Symbol(n, 1, {((), 1, 1): 1.0, ((1,), 1, 1): 1.0})
-
-
 def test_isometry_deviation_values():
-    assert isometry_deviation(shift_like(2, d=2)) == 0.0
-    assert isometry_deviation(hypo_like()) == pytest.approx(1.0)
+    assert isometry_deviation(shift_symbol(2, d=2)) == 0.0
+    assert isometry_deviation(hypo_counterexample().symbol) == pytest.approx(1.0)
     # interior support alone breaks the criterion
     sym = Symbol(2, 1, {((1,), 1, 1): 1.0, ((2,), 1, 1): 0.5})
     assert isometry_deviation(sym) >= 0.5
@@ -67,7 +36,7 @@ def test_isometry_deviation_values():
 def test_defect_shift_table():
     for k in (1, 2, 3):
         for d in (1, 2):
-            basis = defect(shift_like(k, d=d), 5)
+            basis = defect(shift_symbol(k, d=d), 5)
             assert basis.dim == k * d
             assert basis.stacked_kernel_dim == k * d
             assert basis.el_minus_range_dim == k * d
@@ -113,22 +82,22 @@ def test_chain_routes_match_scalar_reference():
 
 
 def test_defect_vacuum_and_diagonal():
-    assert defect(vacuum_like(np.eye(2)), 5).dim == 0
-    assert defect(diagonal_like(2), 5).dim == 1
-    assert defect(diagonal_like(3), 5).dim == 3
-    assert defect(projection_like([1, 1, 0]), 5).dim == 2
+    assert defect(vacuum_symbol(np.eye(2)), 5).dim == 0
+    assert defect(diagonal(2).symbol, 5).dim == 1
+    assert defect(diagonal(3).symbol, 5).dim == 3
+    assert defect(projection_symbol(np.diag([1, 1, 0])).symbol, 5).dim == 2
 
 
 def test_defect_el_space_shift():
     # for the k-shift the positively shifted range covers degrees above k,
     # so the generator space is degrees 0..k and the defect drops degree k
-    basis = defect(shift_like(2), 5)
+    basis = defect(shift_symbol(2), 5)
     assert basis.el_dim == 3  # degrees 0, 1, 2
     assert basis.dim == 2
 
 
 def test_defect_stability_flags():
-    _, stable, _ = defect_with_stability(shift_like(2), 5)
+    _, stable, _ = defect_with_stability(shift_symbol(2), 5)
     assert stable
     # a symbol with zero 1-chain part: every chain vector is annihilated,
     # so the computed space grows with depth
@@ -148,36 +117,43 @@ def test_defect_with_stability_runs_one_defect_pass(monkeypatch):
         return original(sym, depth, tol)
 
     monkeypatch.setattr(analysis, "defect", counted)
-    here, stable, below = defect_with_stability(shift_like(2, d=2), 5)
+    here, stable, below = defect_with_stability(shift_symbol(2, d=2), 5)
     assert calls == [5]
     assert (here.dim, stable, below) == (4, True, 4)
 
 
 def test_fredholm_index_values():
-    assert fredholm_index(shift_like(1), 5) == -1
-    assert fredholm_index(shift_like(3, d=2), 5) == -6
-    assert fredholm_index(vacuum_like(np.diag([1.0, 1.0j])), 5) == 0
-    assert fredholm_index(projection_like([1, 1, 0]), 5) == -2
+    assert fredholm_index(shift_symbol(1), 5) == -1
+    assert fredholm_index(shift_symbol(3, d=2), 5) == -6
+    assert fredholm_index(vacuum_symbol(np.diag([1.0, 1.0j])), 5) == 0
+    assert fredholm_index(projection_symbol(np.diag([1, 1, 0])).symbol, 5) == -2
     with pytest.raises(NotIsometric):
-        fredholm_index(hypo_like(), 5)
+        fredholm_index(hypo_counterexample().symbol, 5)
+
+
+def test_fredholm_index_open_while_the_defect_moves():
+    # the 3-shift at depth 2: defect 3 there, 2 one depth below
+    here, stable, below = defect_with_stability(shift_symbol(3), 2)
+    assert (here.dim, stable, below) == (3, False, 2)
+    assert fredholm_index(shift_symbol(3), 2) is None
 
 
 def test_wold_multiplicity_matches_defect():
     cases = [
-        shift_like(1),
-        shift_like(2),
-        shift_like(3, d=2),
-        vacuum_like(np.eye(2)),
-        diagonal_like(2),
-        diagonal_like(3),
-        projection_like([1, 0, 1]),
+        shift_symbol(1),
+        shift_symbol(2),
+        shift_symbol(3, d=2),
+        vacuum_symbol(np.eye(2)),
+        diagonal(2).symbol,
+        diagonal(3).symbol,
+        projection_symbol(np.diag([1, 0, 1])).symbol,
     ]
     for sym in cases:
         mult_wl, mult_mtheta = wold_multiplicity(sym, 5)
         assert mult_wl == mult_mtheta
         assert mult_wl == defect(sym, 5).dim
     with pytest.raises(NotIsometric):
-        wold_multiplicity(hypo_like(), 5)
+        wold_multiplicity(hypo_counterexample().symbol, 5)
 
 
 def test_wold_multiplicity_needs_depth_2k_minus_1():
@@ -188,7 +164,7 @@ def test_wold_multiplicity_needs_depth_2k_minus_1():
         (((1,) * r), s + 1, q + 1): (u @ np.diag([r == 1, r == 2]) @ v)[s, q]
         for r in (1, 2) for s in range(2) for q in range(2)
     })
-    for sym, mult in ((shift_like(2, n=1), 2), (mixed, 3)):
+    for sym, mult in ((shift_symbol(2, n=1), 2), (mixed, 3)):
         with pytest.raises(ValueError, match="2K - 1"):
             wold_multiplicity(sym, 2)
         assert wold_multiplicity(sym, 3) == (mult, mult)
@@ -200,7 +176,7 @@ def test_wold_multiplicity_needs_depth_2k_minus_1():
 
 
 def test_norm_report_interior_free():
-    rep = norm_report(hypo_like(), 8)
+    rep = norm_report(hypo_counterexample().symbol, 8)
     assert rep.applicable
     assert rep.bracket_lower == pytest.approx(2.0, abs=1e-12)
     assert rep.formula_value >= 2.0
@@ -208,7 +184,7 @@ def test_norm_report_interior_free():
     assert rep.sigma_l == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert rep.sigma_max <= rep.formula_value + 1e-9
     # deeper truncations push sigma_max up toward the formula
-    shallow = norm_report(hypo_like(), 3)
+    shallow = norm_report(hypo_counterexample().symbol, 3)
     assert shallow.sigma_max <= rep.sigma_max + 1e-12
 
 
@@ -223,7 +199,7 @@ def test_norm_report_not_applicable():
 def test_douglas_round_trip():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    l2 = shift_like(1, d=2)
+    l2 = shift_symbol(1, d=2)
     l1 = Symbol(2, 2, {((1,), s, q): a[s - 1, q - 1] for s in (1, 2) for q in (1, 2) if a[s - 1, q - 1] != 0})
     res = douglas_factor(l1, l2, 4)
     assert np.max(np.abs(res.factor - a)) <= 1e-12
@@ -247,15 +223,15 @@ def test_douglas_theta_gap_on_the_boundary_grid():
 
 
 def test_douglas_identity_factor_for_self():
-    for sym in (shift_like(1), diagonal_like(2), vacuum_like(np.eye(2)), hypo_like()):
+    for sym in (shift_symbol(1), diagonal(2).symbol, vacuum_symbol(np.eye(2)), hypo_counterexample().symbol):
         res = douglas_factor(sym, sym, 3)
         assert np.max(np.abs(res.factor - np.eye(sym.d))) <= 1e-12
         assert res.wl_gap <= 1e-12
 
 
 def test_douglas_negative_control():
-    l1 = vacuum_like(np.eye(2))
-    l2 = shift_like(1, d=2)
+    l1 = vacuum_symbol(np.eye(2))
+    l2 = shift_symbol(1, d=2)
     with pytest.raises(RangeNotContained) as info:
         douglas_factor(l1, l2, 3)
     # the vacuum column is orthogonal to the shifted range, full mass remains
@@ -263,17 +239,17 @@ def test_douglas_negative_control():
 
 
 def test_coburn_floor_values():
-    pts = coburn_bound(shift_like(1), 5)
+    pts = coburn_bound(shift_symbol(1), 5)
     for pt in pts:
         assert pt.sigma_min >= pt.floor - 1e-10
     # lambda = 0 on an isometry: exactly 1
     assert pts[0].sigma_min == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NotIsometric):
-        coburn_bound(hypo_like(), 4)
+        coburn_bound(hypo_counterexample().symbol, 4)
 
 
 def test_hyponormality_probe_counterexample():
-    probe = hyponormality_probe(hypo_like(), 4)
+    probe = hyponormality_probe(hypo_counterexample().symbol, 4)
     # expansivity holds (sigma_min = sqrt(2)) yet the witness refutes
     assert probe.sigma_min_l == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert probe.necessary_condition
@@ -292,23 +268,23 @@ def test_hyponormality_probe_contraction():
 
 
 def test_hyponormality_gap_nonpositive_for_isometries():
-    for sym in (shift_like(1), shift_like(2, d=2), vacuum_like(np.eye(2))):
+    for sym in (shift_symbol(1), shift_symbol(2, d=2), vacuum_symbol(np.eye(2))):
         probe = hyponormality_probe(sym, 4)
         assert probe.witness_gap <= 1e-12
 
 
 def test_defect_projection_rank_corroborates():
     for sym, expect in (
-        (shift_like(1), 1),
-        (shift_like(2, d=2), 4),
-        (vacuum_like(np.eye(2)), 0),
-        (projection_like([1, 1, 0]), 2),
+        (shift_symbol(1), 1),
+        (shift_symbol(2, d=2), 4),
+        (vacuum_symbol(np.eye(2)), 0),
+        (projection_symbol(np.diag([1, 1, 0])).symbol, 2),
     ):
         assert defect_projection_rank(sym, 5) == expect
 
 
 def test_classify_shift():
-    rep = classify(shift_like(1), 5)
+    rep = classify(shift_symbol(1), 5)
     assert isinstance(rep, ClassificationReport)
     assert rep.isometric and not rep.unitary
     assert rep.invertible is False
@@ -321,13 +297,13 @@ def test_classify_shift():
 
 
 def test_classify_vacuum_unitary():
-    rep = classify(vacuum_like(np.diag([1.0, 1.0j])), 5)
+    rep = classify(vacuum_symbol(np.diag([1.0, 1.0j])), 5)
     assert rep.unitary and rep.isometric
     assert rep.invertible is True
     assert rep.fredholm == 0
     assert rep.defect_dim == 0
     # gram identity goes with the isometry verdict
-    w = build_wl(vacuum_like(np.diag([1.0, 1.0j])), 3)
+    w = build_wl(vacuum_symbol(np.diag([1.0, 1.0j])), 3)
     gram = (w.conjugate_transpose().to_csr() @ w.to_csr()).toarray()
     assert np.max(np.abs(gram - np.eye(w.domain.size))) <= 1e-10
 
@@ -343,8 +319,16 @@ def test_classify_constant_plus_shift():
     assert min(rep.sigma_min_square.values()) >= 0.45
 
 
+def test_classify_identically_singular_symbol_is_not_invertible():
+    # det Theta = 1 * 0 vanishes identically: refused as a winding count,
+    # reported as not invertible
+    rep = classify(vacuum_symbol(np.diag([1.0, 0.0])), 3)
+    assert rep.invertible_checked and rep.invertible is False
+    assert rep.isometric is False
+
+
 def test_classify_skips_invertibility_on_request():
-    rep = classify(hypo_like(), 4, invertibility=False)
+    rep = classify(hypo_counterexample().symbol, 4, invertibility=False)
     assert rep.invertible is None
     assert not rep.invertible_checked
     assert rep.hypo_necessary is True
@@ -353,7 +337,7 @@ def test_classify_skips_invertibility_on_request():
 
 def test_classify_propagates_boundary_refusal():
     with pytest.raises(BoundaryZeroSuspected):
-        classify(hypo_like(), 4, invertibility=True)
+        classify(hypo_counterexample().symbol, 4, invertibility=True)
 
 
 def test_classify_isometric_iff_gram():
@@ -394,7 +378,7 @@ def test_classify_builds_each_depth_once(monkeypatch):
         return original(sym, depth, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "build_wl", counted)
-    sym = shift_like(1)
+    sym = shift_symbol(1)
     rep = classify(sym, 6)
     assert sorted(calls) == [6]
     assert rep.norm == norm_report(sym, 6)
@@ -410,16 +394,16 @@ def test_classify_shares_its_maps_with_the_hyponormality_probe(monkeypatch):
         return original(sym, depth, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "build_wl", counted)
-    sym = shift_like(1)
+    sym = shift_symbol(1)
     for depth in (4, 5, 2):
         calls.clear()
         rep = classify(sym, depth)
         assert calls == [depth]
         assert rep.hypo_gap == hyponormality_probe(sym, depth).witness_gap
     calls.clear()
-    rep = classify(hypo_like(), 3, invertibility=False)
+    rep = classify(hypo_counterexample().symbol, 3, invertibility=False)
     assert calls == [3]
-    assert rep.hypo_gap == hyponormality_probe(hypo_like(), 3).witness_gap
+    assert rep.hypo_gap == hyponormality_probe(hypo_counterexample().symbol, 3).witness_gap
 
 
 def test_depth_zero_counts_agree_with_classify():
@@ -431,10 +415,10 @@ def test_depth_zero_counts_agree_with_classify():
     assert (rep.mult_wl, rep.mult_mtheta, rep.fredholm) == (0, 0, 0)
     # a K = 1 shift at depth 0 is still below the 2K - 1 floor
     with pytest.raises(ValueError, match="2K - 1"):
-        wold_multiplicity(shift_like(1), 0)
-    shallow = classify(shift_like(1), 0)
+        wold_multiplicity(shift_symbol(1), 0)
+    shallow = classify(shift_symbol(1), 0)
     assert shallow.mult_wl is None and shallow.mult_mtheta is None
-    assert fredholm_index(shift_like(1), 0) == shallow.fredholm
+    assert fredholm_index(shift_symbol(1), 0) == shallow.fredholm
 
 
 def test_classify_runs_the_defect_once(monkeypatch):
@@ -453,7 +437,7 @@ def test_classify_runs_the_defect_once(monkeypatch):
 
     counted("defect_with_stability")
     counted("_mtheta_multiplicity")
-    rep = classify(shift_like(2, d=2), 5)
+    rep = classify(shift_symbol(2, d=2), 5)
     assert sorted(calls) == [("_mtheta_multiplicity", 5), ("defect_with_stability", 5)]
     assert rep.mult_wl == rep.mult_mtheta == 4
     assert rep.fredholm == -4
@@ -469,7 +453,7 @@ def test_one_toeplitz_truncation_per_wold_and_classify(monkeypatch):
         return toeplitz_truncation(theta, size)
 
     monkeypatch.setattr(analysis, "toeplitz_truncation", counted)
-    cases = ((shift_like(2, d=2), 5), (vacuum_like(np.eye(2)), 0), (diagonal_like(3), 4),
+    cases = ((shift_symbol(2, d=2), 5), (vacuum_symbol(np.eye(2)), 0), (diagonal(3).symbol, 4),
              # Theta(z) = U diag(1, z), inner with U a rotation
              (Symbol(1, 2, {((), 1, 1): 0.6, ((), 2, 1): -0.8, ((1,), 1, 2): 0.8, ((1,), 2, 2): 0.6}), 9))
     for sym, depth in cases:

@@ -129,6 +129,24 @@ def test_symbol_supnorm_bracket(capsys, one_plus_z):
     assert report["upper"] >= report["lower"]
 
 
+def test_symbol_theta_prints_the_coefficients_and_no_config_option(capsys):
+    code, out = run(capsys, "symbol", "--gallery", "shift", "--theta", "--grid", "64", "--tol-rank", "1e-7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == {"command": "symbol", "source": "gallery:shift"}
+    assert payload["report"] == {"dim": 1, "degree": 1, "coeffs": [[[0.0]], [[1.0]]]}
+
+
+def test_symbol_invertible_verdict(capsys):
+    code, out = run(capsys, "symbol", "--gallery", "constant_plus_shift", "--invertible", "--grid", "64")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == {"command": "symbol", "source": "gallery:constant_plus_shift", "grid": 64}
+    assert payload["report"] == {"invertible": True}
+    code, out = run(capsys, "symbol", "--gallery", "shift", "--invertible")
+    assert code == 0 and json.loads(out)["report"] == {"invertible": False}
+
+
 def test_symbol_inner_flag(capsys, tmp_path):
     path = str(tmp_path / "z.json")
     save_symbol(Symbol(2, 1, {((1,), 1, 1): 1.0}), path)
@@ -233,6 +251,13 @@ def test_defaults_are_the_library_defaults(capsys, tmp_path):
     assert json.loads(out)["config"]["depth"] == 64
 
 
+def test_out_of_range_gallery_parameter_is_an_input_error(capsys):
+    code = main(["gallery", "build", "blaschke", "--param", "R=-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: need truncation degree R >= 0, got -1"]
+
+
 def test_douglas_samples_the_grid_it_reports(capsys, monkeypatch, one_plus_z):
     grids = []
     real = cli.douglas_factor
@@ -271,6 +296,7 @@ READ_CASES = [
     (["classify", "--gallery", "shift"], "classify"),
     (["symbol", "--gallery", "shift", "--inner"], "is_inner_exact"),
     (["symbol", "--gallery", "shift", "--supnorm"], "sup_norm"),
+    (["symbol", "--gallery", "shift", "--invertible"], "is_invertible_hinf"),
     (["defect", "--gallery", "shift"], "defect_with_stability"),
     (["norm", "--gallery", "shift"], "norm_report"),
     (["douglas", "{file}", "{file}"], "douglas_factor"),
@@ -284,6 +310,9 @@ BENCHMARK_PINNED = {("classify", "seed"), ("defect", "grid"), ("defect", "seed")
 # ... and the tolerances come as a pair, where the computation reads one
 TOLERANCE_PAIRED = {("symbol", "tol_rank"), ("defect", "tol_exact"), ("norm", "tol_rank"),
                     ("coburn", "tol_rank"), ("hypo", "tol_rank")}
+# a report prints every config option its subcommand declares, except that
+# each symbol action prints only the ones it reads (--theta reads none)
+SYMBOL_PRINTS = {"--inner": {"tol_exact", "tol_rank"}, "--supnorm": {"grid"}, "--invertible": {"grid"}}
 
 
 def _subcommands():
@@ -312,9 +341,10 @@ def test_every_config_option_a_report_prints_reaches_its_computation(capsys, mon
         code, out = run(capsys, *[arg.format(file=one_plus_z) for arg in argv], *depth, *options)
         assert code == 0 and len(calls) == 1
         config = json.loads(out)["config"]
+        printed = SYMBOL_PRINTS[argv[-1]] if command == "symbol" else declared
         assert config == {"command": command, "source": config["source"],
                           **({"depth": 2} if "depth" in dests else {}),
-                          **{key: SET[key] for key in declared}}
+                          **{key: SET[key] for key in printed}}
         seen = reached.setdefault(command, set())
         for value in calls[0]:
             if isinstance(value, ReadTolerance):

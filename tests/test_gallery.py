@@ -132,6 +132,31 @@ def test_projection_entry_split():
     assert entry.expected["defect_dim"] == 2
 
 
+def test_out_of_range_parameters_are_refused():
+    for params in ({"d": 2, "rank": 3}, {"rank": -1}, {"d": 3, "rank": 4}):
+        with pytest.raises(ValueError, match="0 <= rank <= d"):
+            build_entry("projection", **params)
+    for name in ("blaschke", "moebius", "resolvent_shift"):
+        with pytest.raises(ValueError, match="R >= 0"):
+            build_entry(name, R=-1)
+    with pytest.raises(ValueError, match="d=5 disagrees with 2 phases"):
+        build_entry("vacuum", d=5, phases=(1, 1j))
+
+
+def test_range_ends_still_build():
+    assert build_entry("projection", d=3, rank=0).expected["defect_dim"] == 0
+    assert build_entry("projection", d=3, rank=3).expected["defect_dim"] == 3
+    for name in ("blaschke", "moebius", "resolvent_shift"):
+        assert build_entry(name, R=0).symbol.K == 0
+
+
+def test_vacuum_dimension_follows_the_phases():
+    assert build_entry("vacuum").symbol.d == 2
+    assert build_entry("vacuum", d=3).symbol.d == 3
+    assert build_entry("vacuum", phases=(1, 1j, -1)).symbol.d == 3
+    assert build_entry("vacuum", d=2, phases=(1, 1j)).symbol.d == 2
+
+
 def test_constant_plus_shift_rejects_degenerate():
     with pytest.raises(ValueError):
         constant_plus_shift(0.0)

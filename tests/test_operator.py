@@ -11,6 +11,7 @@ from odolab.fock import (
     word_in_m0,
     word_in_n0,
 )
+from odolab.gallery import shift_symbol, vacuum_symbol
 from odolab.operator import (
     FockOperator,
     SubspaceSelector,
@@ -33,16 +34,6 @@ M, M_PERP, N, N_PERP = (
 )
 
 
-def shift_like(k, n=2, d=1):
-    return Symbol(n, d, {(((1,) * k), s, s): 1.0 for s in range(1, d + 1)})
-
-
-def vacuum_like(u, n=2):
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    return Symbol(n, d, {((), s, q): u[s - 1, q - 1] for s in range(1, d + 1) for q in range(1, d + 1)})
-
-
 def entries(op):
     """The stored entries as a {(row, col): value} dict."""
     return dict(op.to_csr().todok())
@@ -59,7 +50,7 @@ def adjoint_mismatch(sym, depth):
 
 
 def test_build_wl_shift_columns():
-    w = build_wl(shift_like(1), 2)
+    w = build_wl(shift_symbol(1), 2)
     dom, cod, a = w.domain, w.codomain, w.to_csr()
     # vacuum column is L itself
     assert a[cod.index((1,), 1), dom.index(VACUUM, 1)] == 1.0
@@ -75,7 +66,7 @@ def test_build_wl_shift_columns():
 
 def test_build_wl_vacuum_is_permutation():
     u = np.array([[0, 1], [1, 0]], dtype=complex)
-    w = build_wl(vacuum_like(u), 1)
+    w = build_wl(vacuum_symbol(u), 1)
     a = w.toarray()
     assert a.shape == (6, 6)
     assert np.max(np.abs(a.conj().T @ a - np.eye(6))) <= 1e-14
@@ -85,7 +76,7 @@ def test_build_wl_vacuum_is_permutation():
 
 
 def test_build_wl_codomain_depth():
-    sym = shift_like(2)
+    sym = shift_symbol(2)
     w = build_wl(sym, 3)
     assert w.codomain.depth == 5
     with pytest.raises(ValueError):
@@ -107,7 +98,7 @@ def test_build_wl_n1_chain():
 
 
 def test_adjoint_shift_columns():
-    star = build_wl_adjoint(shift_like(1), 3)
+    star = build_wl_adjoint(shift_symbol(1), 3)
     b, a = star.domain, star.to_csr()
     # vacuum column vanishes, nothing maps onto the vacuum from L
     assert all(key[1] != b.index(VACUUM, 1) for key in entries(star))
@@ -132,9 +123,9 @@ def test_adjoint_constant_plus_shift_witness_column():
 
 def test_adjoint_identity_fixed_cases():
     cases = [
-        shift_like(1),
-        shift_like(2, d=2),
-        vacuum_like(np.diag([1.0, 1.0j])),
+        shift_symbol(1),
+        shift_symbol(2, d=2),
+        vacuum_symbol(np.diag([1.0, 1.0j])),
         Symbol(2, 1, {((), 1, 1): 1.0, ((1,), 1, 1): 0.5}),
         Symbol(1, 2, {((), 1, 2): 0.3, ((1, 1), 2, 1): 1.5j}),
         Symbol(3, 1, {((2, 1), 1, 1): 2.0, ((1,), 1, 1): 1.0}),
@@ -184,7 +175,7 @@ def test_block_w12_column_norm_constancy():
 
 
 def test_block_w12_vanishes_for_chain_supported_symbol():
-    w = build_wl(shift_like(2, d=2), 4)
+    w = build_wl(shift_symbol(2, d=2), 4)
     assert block(w, M, N_PERP).nnz == 0
 
 
@@ -194,7 +185,7 @@ def test_toeplitz_truncation_layout():
     expect = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=complex)
     assert np.array_equal(t, expect)
     # block case keeps the d x d structure
-    theta2 = shift_like(1, d=2).theta()
+    theta2 = shift_symbol(1, d=2).theta()
     t2 = toeplitz_truncation(theta2, 2)
     assert t2.shape == (4, 4)
     assert np.array_equal(t2[2:, :2], np.eye(2))
@@ -204,8 +195,8 @@ def test_toeplitz_truncation_layout():
 def test_toeplitz_realization_fixed_and_random():
     rng = np.random.default_rng(202)
     symbols = [
-        shift_like(1),
-        shift_like(2, d=2),
+        shift_symbol(1),
+        shift_symbol(2, d=2),
         Symbol(2, 1, {((), 1, 1): 1.0, ((1,), 1, 1): 0.5, ((2,), 1, 1): 3.0}),
         Symbol(1, 2, {((), 1, 1): 0.2, ((1,), 2, 1): 0.9}),
     ]
@@ -231,7 +222,7 @@ def test_matmul_matches_dense():
 
 
 def test_inclusion_and_square_compression():
-    sym = shift_like(1)
+    sym = shift_symbol(1)
     w = build_wl(sym, 2)
     # the codomain extends the domain by index, so the identity of shape
     # w.shape is the inclusion
@@ -244,14 +235,14 @@ def test_inclusion_and_square_compression():
 
 def test_isometry_gram_identity():
     # CT(W) @ W = I exactly for chain-supported isometric symbols
-    for sym in (shift_like(1), shift_like(3, d=2), vacuum_like(np.eye(2))):
+    for sym in (shift_symbol(1), shift_symbol(3, d=2), vacuum_symbol(np.eye(2))):
         w = build_wl(sym, 3)
         gram = (w.conjugate_transpose().to_csr() @ w.to_csr()).toarray()
         assert np.max(np.abs(gram - np.eye(w.domain.size))) <= 1e-12
 
 
 def test_dump_format():
-    sym = shift_like(1)
+    sym = shift_symbol(1)
     w = build_wl(sym, 1)
     lines = dump_lines(w, sym)
     assert lines[0] == "# 2 1 1 2"
@@ -299,7 +290,7 @@ def test_triplets_and_coo_come_out_canonical():
 
 def test_wrong_shape_is_rejected():
     b = enumerate_basis(2, 1, 1)
-    wide = build_wl(shift_like(1), 1)
+    wide = build_wl(shift_symbol(1), 1)
     for data in (wide.to_csr(), wide.toarray(), np.eye(2)):
         with pytest.raises(ValueError):
             FockOperator(b, b, data)

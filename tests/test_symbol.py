@@ -6,7 +6,8 @@ from odolab.errors import (
     IdenticallySingular,
     SymbolFormatError,
 )
-from odolab.fock import enumerate_basis
+from odolab.fock import enumerate_basis, word_in_m0
+from odolab.gallery import shift_symbol
 from odolab.symbol import (
     MatrixPolynomial,
     Symbol,
@@ -28,10 +29,6 @@ def scalar_symbol(n, pairs):
     return Symbol(n, 1, {(w, 1, 1): v for w, v in pairs.items()})
 
 
-def shift_like(k, n=2, d=1):
-    return Symbol(n, d, {(((1,) * k), s, s): 1.0 for s in range(1, d + 1)})
-
-
 def moebius_like(a, R, n=2):
     entries = {((), 1, 1): -a}
     for r in range(1, R + 1):
@@ -50,10 +47,10 @@ def test_symbol_validation():
 
 
 def test_coefficient_operator_shift():
-    s = shift_like(2, n=2, d=2)
-    assert np.array_equal(s.coefficient_operator(2), np.eye(2))
-    assert not s.coefficient_operator(0).any()
-    assert not s.coefficient_operator(5).any()
+    s = shift_symbol(2, n=2, d=2)
+    assert np.array_equal(s.theta().coefficient(2), np.eye(2))
+    assert not s.theta().coefficient(0).any()
+    assert not s.theta().coefficient(5).any()
     assert s.theta().degree == 2
 
 
@@ -85,9 +82,9 @@ def test_matrix_polynomial_eval():
 
 
 def test_inner_shift_exact():
-    res = is_inner_exact(shift_like(1).theta())
+    res = is_inner_exact(shift_symbol(1).theta())
     assert res.is_inner and res.deviation == 0.0
-    res = is_inner_exact(shift_like(3, d=2).theta())
+    res = is_inner_exact(shift_symbol(3, d=2).theta())
     assert res.is_inner
 
 
@@ -115,7 +112,7 @@ def test_inner_matches_boundary_sampling():
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 3))
         if trial % 5 == 0:
-            sym = shift_like(int(rng.integers(0, 3)), n=n, d=d)
+            sym = shift_symbol(int(rng.integers(0, 3)), n=n, d=d)
             checked_inner += 1
         else:
             sym = random_symbol(rng, n, d, 3)
@@ -151,8 +148,8 @@ def test_det_coefficients_examples():
 def test_invertibility_verdicts():
     assert is_invertible_hinf(scalar_symbol(2, {(): 1.0, (1,): 0.5}).theta())
     # pure shift winds once around zero
-    assert not is_invertible_hinf(shift_like(1).theta())
-    assert not is_invertible_hinf(shift_like(2, d=2).theta())
+    assert not is_invertible_hinf(shift_symbol(1).theta())
+    assert not is_invertible_hinf(shift_symbol(2, d=2).theta())
     # constant unitary is invertible
     u = np.array([[0, 1], [1, 0]], dtype=complex)
     sym = Symbol(2, 2, {((), s, q): u[s - 1, q - 1] for s in (1, 2) for q in (1, 2)})
@@ -217,6 +214,25 @@ def test_as_matrix_layout():
     assert np.count_nonzero(m) == 2
 
 
+def test_decoded_arrays_match_the_entry_loop():
+    # as_matrix, m_mass and K read the arrays decoded at construction; the
+    # per-entry loops are the reference
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sym = random_symbol(rng, n, d, 3, count=int(rng.integers(0, 8)))
+        basis = enumerate_basis(n, sym.K + 1, d)
+        ref = np.zeros((basis.size, d), dtype=complex)
+        mass = 0.0
+        for (word, s, q), value in sym.entries.items():
+            ref[basis.index(word, s), q - 1] = value
+            if word_in_m0(word):
+                mass = max(mass, abs(value))
+        assert np.array_equal(sym.as_matrix(basis), ref)
+        assert sym.m_mass() == mass
+        assert sym.K == max((len(word) for word, _, _ in sym.entries), default=0)
+
+
 def test_json_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     sym = random_symbol(rng, 3, 2, 2, count=9)
@@ -228,7 +244,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_rejects_duplicates_and_garbage(tmp_path):
-    data = symbol_to_dict(shift_like(1))
+    data = symbol_to_dict(shift_symbol(1))
     data["entries"].append(dict(data["entries"][0]))
     with pytest.raises(SymbolFormatError):
         symbol_from_dict(data)
@@ -245,4 +261,4 @@ def test_json_rejects_duplicates_and_garbage(tmp_path):
 def test_m_mass_and_restrictions():
     sym = Symbol(2, 1, {((), 1, 1): 1.0, ((2,), 1, 1): 0.25, ((1, 2), 1, 1): -0.5})
     assert sym.m_mass() == 0.5
-    assert shift_like(2).m_mass() == 0.0
+    assert shift_symbol(2).m_mass() == 0.0
