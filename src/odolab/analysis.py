@@ -17,7 +17,8 @@ theory says they can be:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -25,8 +26,8 @@ from scipy import sparse
 from . import fock
 from .errors import DefectUnstable, IdenticallySingular, NotIsometric, RangeNotContained
 from .numerics import (
-    DEFAULT_BOUNDARY_GRID, DEFAULT_TOL, Tolerance, least_squares, numerical_rank, operator_norm,
-    orthocomplement_basis, sigma_min, sparse_sigma_min,
+    DEFAULT_BOUNDARY_GRID, DEFAULT_TOL, Tolerance, _orthocomplement_at, least_squares, numerical_rank,
+    operator_norm, sigma_min, sparse_sigma_min,
 )
 from .operator import (
     FockOperator,
@@ -63,7 +64,6 @@ def _require_isometric(sym: Symbol, tol: Tolerance) -> None:
 # defect space
 
 
-@dataclass
 class DefectBasis:
     """Defect data inside the 1-chain sector at one truncation depth.
 
@@ -71,7 +71,10 @@ class DefectBasis:
     every shift.  Columns of el_basis span the orthocomplement of the
     shifted range (shifts p >= 1); columns of defect_basis also quotient
     out the range itself (shifts p >= 0), which is the adjoint kernel in
-    general.  Each comes from one full SVD of its column block.
+    general.  el_dim and dim count those complements, each as the rows of
+    its column block less the numerical rank of the block (a value-only
+    SVD); el_basis and defect_basis are the trailing el_dim and dim left
+    singular vectors of one full SVD of the same block.
     el_minus_range_dim is the literal orthogonal difference, el_dim less
     the rank of the range projected onto el_basis (a value-only SVD).  As
     E_L meet (LE)-perp is (shifted + range)-perp, it equals defect_dim for
@@ -82,23 +85,41 @@ class DefectBasis:
     recomputes the defect dimension as its kernel dimension (a value-only
     SVD).  el_dim minus d is the defect dimension one depth below, which
     defect_with_stability reads.
+    The two blocks and stacked_matrix are assembled up front; every other
+    field is computed at its first read and then kept.
     """
 
-    depth: int
-    d: int
-    el_basis: np.ndarray
-    defect_basis: np.ndarray
-    stacked_kernel_dim: int
-    el_minus_range_dim: int
-    stacked_matrix: np.ndarray = field(repr=False, default=None)
+    def __init__(self, depth: int, d: int, chain: np.ndarray, stacked_matrix: np.ndarray, tol: Tolerance):
+        self.depth, self.d, self.stacked_matrix, self._tol = depth, d, stacked_matrix, tol
+        self._shifted, self._range = chain[:, d:], chain[:, :d]
+        self._spanned = np.hstack([self._shifted, self._range])
 
-    @property
-    def dim(self) -> int:
-        return self.defect_basis.shape[1]
-
-    @property
+    @cached_property
     def el_dim(self) -> int:
-        return self.el_basis.shape[1]
+        return len(self._shifted) - numerical_rank(self._shifted, self._tol)
+
+    @cached_property
+    def dim(self) -> int:
+        return len(self._spanned) - numerical_rank(self._spanned, self._tol)
+
+    @cached_property
+    def stacked_kernel_dim(self) -> int:
+        return len(self.stacked_matrix) - numerical_rank(self.stacked_matrix, self._tol)
+
+    @cached_property
+    def el_basis(self) -> np.ndarray:
+        return _orthocomplement_at(self._shifted, self.el_dim)
+
+    @cached_property
+    def defect_basis(self) -> np.ndarray:
+        return _orthocomplement_at(self._spanned, self.dim)
+
+    @cached_property
+    def el_minus_range_dim(self) -> int:
+        # literal E_L minus closure(L E): project the range onto E_L first
+        if not self.el_dim:
+            return 0
+        return self.el_dim - numerical_rank(self.el_basis.conj().T @ self._range, self._tol)
 
 
 def _chain_sector(sym: Symbol, depth: int) -> np.ndarray:
@@ -126,29 +147,9 @@ def defect(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL) -> DefectBasis
     of the infinite-space conditions at this depth; they are compared by
     the caller or by wold_multiplicity.
     """
-    d = sym.d
     chain = _chain_sector(sym, depth)
-    shifted, range_cols = chain[:, d:], chain[:, :d]
-    el_basis = orthocomplement_basis(shifted, tol)
-    defect_basis = orthocomplement_basis(np.hstack([shifted, range_cols]), tol)
-
     stacked = toeplitz_truncation(sym.theta(), depth + 1).conj().T
-    stacked_kernel_dim = chain.shape[0] - numerical_rank(stacked, tol)
-
-    # literal E_L minus closure(L E): project the range onto E_L first
-    el_minus_range = el_basis.shape[1]
-    if el_minus_range:
-        el_minus_range -= numerical_rank(el_basis.conj().T @ range_cols, tol)
-
-    return DefectBasis(
-        depth=depth,
-        d=d,
-        el_basis=el_basis,
-        defect_basis=defect_basis,
-        stacked_kernel_dim=stacked_kernel_dim,
-        el_minus_range_dim=el_minus_range,
-        stacked_matrix=stacked,
-    )
+    return DefectBasis(depth, sym.d, chain, stacked, tol)
 
 
 def defect_with_stability(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
@@ -159,8 +160,8 @@ def defect_with_stability(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL)
     the shifted columns (p >= 1) at depth D are the whole depth D - 1
     chain sector moved down one degree, with zero degree-0 rows, so E_L at
     depth D is the d degree-0 slots plus the depth D - 1 defect space, and
-    the lower dim is el_dim - d.  The full SVD behind el_basis feeds the
-    depth D - 1 dim; the one behind defect_basis feeds the depth-D dim.
+    the lower dim is el_dim - d.  Both dims are value-only SVDs, one per
+    column block; no basis is formed unless the caller reads it.
     """
     if depth < 1:
         raise ValueError("stability heuristic needs depth >= 1")
@@ -197,7 +198,8 @@ def wold_multiplicity(sym: Symbol, depth: int, tol: Tolerance = DEFAULT_TOL):
 
     The map side is the defect dimension of the operator-side route, from
     the one chain-sector pass of defect_with_stability (its stability
-    flag comes from the same pass).  The symbol side counts the kernel of
+    flag comes from the same pass, and both counts are value-only SVDs;
+    no defect basis is formed).  The symbol side counts the kernel of
     T_Theta*, read off that pass's stacked_matrix, on degrees <= depth - K
     with one value-only SVD; that cut keeps every image degree inside the
     truncation, so the kernel found is exactly the model space H^2 minus

@@ -203,6 +203,14 @@ def orthocomplement_basis(cols, tol: Tolerance = DEFAULT_TOL):
     return u[:, _rank_cut(s, tol):]
 
 
+def _orthocomplement_at(cols: np.ndarray, count: int) -> np.ndarray:
+    # the trailing count left singular vectors of one full SVD of cols: the
+    # orthocomplement basis of the same SVD, cut at a count decided elsewhere
+    if cols.shape[1] == 0:
+        return np.eye(cols.shape[0], dtype=complex)
+    return np.linalg.svd(cols, full_matrices=True)[0][:, cols.shape[0] - count:]
+
+
 def winding_number(coeffs, grid_size: int = DEFAULT_BOUNDARY_GRID) -> int:
     """Number of roots of sum_r coeffs[r] z^r strictly inside the unit disk.
 

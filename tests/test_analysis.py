@@ -19,7 +19,7 @@ from odolab.analysis import (
 )
 from odolab.errors import BoundaryZeroSuspected, NotIsometric, RangeNotContained
 from odolab.gallery import diagonal, hypo_counterexample, projection_symbol, shift_symbol, vacuum_symbol
-from odolab.numerics import numerical_rank
+from odolab.numerics import numerical_rank, orthocomplement_basis
 from odolab.operator import build_wl, toeplitz_truncation
 from odolab.symbol import Symbol
 from odolab.verify import random_symbol
@@ -122,6 +122,53 @@ def test_defect_with_stability_runs_one_defect_pass(monkeypatch):
     assert (here.dim, stable, below) == (4, True, 4)
 
 
+def _defect_cases():
+    # seeded symbols at shallow depths plus the two near-cut splits of z - a
+    rng = np.random.default_rng(2201)
+    cases = [(random_symbol(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)), 3), int(rng.integers(0, 8)))
+             for _ in range(12)]
+    return cases + [(Symbol(1, 1, {((), 1, 1): -a, ((1,), 1, 1): 1.0}), depth) for a, depth in ((0.5, 25), (0.6, 34))]
+
+
+def test_defect_fields_do_not_depend_on_read_order():
+    bases = ("el_basis", "defect_basis", "stacked_matrix")
+    counts = ("dim", "el_dim", "stacked_kernel_dim", "el_minus_range_dim")
+    for sym, depth in _defect_cases():
+        bases_first, counts_first = defect(sym, depth), defect(sym, depth)
+        read = {name: getattr(bases_first, name) for name in bases + counts}
+        for name in counts + bases:
+            assert np.array_equal(getattr(counts_first, name), read[name])
+        assert bases_first.el_basis.shape[1] == bases_first.el_dim
+        assert bases_first.defect_basis.shape[1] == bases_first.dim
+
+
+def test_defect_counts_match_full_svd_complements():
+    # value-only counts cut where the full-SVD complement cuts, and each
+    # basis read later is orthonormal
+    for sym, depth in _defect_cases():
+        here, chain, d = defect(sym, depth), _chain_sector(sym, depth), sym.d
+        shifted = chain[:, d:]
+        assert here.el_dim == orthocomplement_basis(shifted).shape[1]
+        assert here.dim == orthocomplement_basis(np.hstack([shifted, chain[:, :d]])).shape[1]
+        assert here.stacked_kernel_dim == len(chain) - numerical_rank(here.stacked_matrix)
+        for q in (here.el_basis, here.defect_basis):
+            assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
+
+
+def test_index_and_wold_take_value_only_svds(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for sym in (shift_symbol(2, d=2), diagonal(3).symbol, vacuum_symbol(np.eye(2))):
+        assert fredholm_index(sym, 5) == -wold_multiplicity(sym, 5)[0]
+    assert calls and not any(calls)
+
+
 def test_fredholm_index_values():
     assert fredholm_index(shift_symbol(1), 5) == -1
     assert fredholm_index(shift_symbol(3, d=2), 5) == -6
@@ -136,6 +183,15 @@ def test_fredholm_index_open_while_the_defect_moves():
     here, stable, below = defect_with_stability(shift_symbol(3), 2)
     assert (here.dim, stable, below) == (3, False, 2)
     assert fredholm_index(shift_symbol(3), 2) is None
+
+
+def test_depth_zero_runs_the_stability_pass_at_depth_one():
+    # the 2-shift at depth 1 has defect 2 there and 1 one depth below
+    assert fredholm_index(shift_symbol(2), 0) is None
+    rep = classify(shift_symbol(2), 0)
+    assert rep.fredholm is None and rep.defect_stable is False
+    # the square floors run at depths D - 1 and D
+    assert sorted(classify(shift_symbol(1), 1).sigma_min_square) == [0, 1]
 
 
 def test_wold_multiplicity_matches_defect():

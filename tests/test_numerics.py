@@ -76,6 +76,13 @@ def test_numerical_rank_zero_matrix():
     assert numerical_rank(1e-12 * np.ones((3, 3))) == 0
 
 
+def test_numerical_rank_is_scale_invariant():
+    # the cut is relative to the largest singular value: a gap of 1e-6
+    # stays above eps_rank = 1e-8 at every scale
+    for c in (1e-3, 1.0, 1e3):
+        assert numerical_rank(c * np.diag([1.0, 1e-6])) == 2
+
+
 def test_sigma_min_values():
     assert sigma_min(np.diag([3.0, 0.5, 2.0])) == pytest.approx(0.5)
     assert sigma_min(np.zeros((0, 3))) == 0.0
